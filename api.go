@@ -26,6 +26,19 @@ const (
 	Dynamic Mode = "dynamic"
 )
 
+// coreConfig maps the mode (empty means Off) to the controller's
+// configuration.
+func (m Mode) coreConfig(staticCores int) (core.Config, error) {
+	if m == "" {
+		m = Off
+	}
+	cc, err := core.ModeConfig(string(m), staticCores)
+	if err != nil {
+		return cc, fmt.Errorf("microsliced: unknown mode %q", m)
+	}
+	return cc, nil
+}
+
 // VM describes one virtual machine of a scenario.
 type VM struct {
 	// Name identifies the VM in the results (defaults to the App name).
@@ -266,9 +279,7 @@ func (s Scenario) Validate() error {
 			}
 		}
 	}
-	switch s.Mode {
-	case Off, Static, Dynamic, "":
-	default:
+	if _, err := s.Mode.coreConfig(s.StaticCores); err != nil {
 		return &ScenarioError{Field: "Mode", Reason: fmt.Sprintf("unknown mode %q", s.Mode)}
 	}
 	if s.StaticCores < 0 {
@@ -555,24 +566,8 @@ func Simulate(s Scenario) (*Results, error) {
 		}
 		setup.VMs = append(setup.VMs, spec)
 	}
-	switch s.Mode {
-	case Off, "":
-		cc := core.DefaultConfig()
-		cc.Mode = core.ModeOff
-		setup.Core = cc
-	case Static:
-		setup.Core = core.StaticConfig(s.StaticCores)
-	case Dynamic:
-		setup.Core = core.DefaultConfig()
-	default:
-		return nil, fmt.Errorf("microsliced: unknown mode %q", s.Mode)
-	}
-	if s.Rival != "" {
-		if s.Mode != Off && s.Mode != "" {
-			return nil, fmt.Errorf("microsliced: rival %q requires Mode == Off", s.Rival)
-		}
-		setup.Rival = experiment.Rival(s.Rival)
-	}
+	setup.Core, _ = s.Mode.coreConfig(s.StaticCores) // Validate rejected unknown modes
+	setup.Rival = experiment.Rival(s.Rival)
 	res, err := experiment.Run(setup)
 	if err != nil {
 		return nil, err
@@ -719,17 +714,9 @@ type IPerfResult struct {
 // and co-located with a lookbusy VM on one pCPU — measuring the
 // application-level stream. proto is "tcp" or "udp".
 func SimulateIPerf(proto string, mixed bool, mode Mode, staticCores int, seconds float64) (*IPerfResult, error) {
-	var cc core.Config
-	switch mode {
-	case Off, "":
-		cc = core.DefaultConfig()
-		cc.Mode = core.ModeOff
-	case Static:
-		cc = core.StaticConfig(staticCores)
-	case Dynamic:
-		cc = core.DefaultConfig()
-	default:
-		return nil, fmt.Errorf("microsliced: unknown mode %q", mode)
+	cc, err := mode.coreConfig(staticCores)
+	if err != nil {
+		return nil, err
 	}
 	dur := simtime.Duration(seconds * float64(simtime.Second))
 	if dur <= 0 {
@@ -744,10 +731,13 @@ func SimulateIPerf(proto string, mixed bool, mode Mode, staticCores int, seconds
 
 // Experiments lists the reproducible artefacts of the paper's evaluation.
 func Experiments() []string {
-	return []string{
-		"table1", "table2", "table3", "table4a", "table4b", "table4c",
-		"fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
+	var names []string
+	for _, a := range experiment.Artefacts() {
+		if a.Class == experiment.ClassPaper {
+			names = append(names, a.Name)
+		}
 	}
+	return names
 }
 
 // Reproduce regenerates one of the paper's tables or figures (see
@@ -758,51 +748,11 @@ func Reproduce(name string, seconds float64, w io.Writer) error {
 	if dur <= 0 {
 		dur = experiment.DefaultDuration
 	}
-	switch name {
-	case "table1":
-		r, err := experiment.Table1(dur)
-		return render(r, err, w)
-	case "table2":
-		r, err := experiment.Table2(dur)
-		return render(r, err, w)
-	case "table3":
-		r, err := experiment.Table3(dur)
-		return render(r, err, w)
-	case "table4a":
-		r, err := experiment.Table4a(dur)
-		return render(r, err, w)
-	case "table4b":
-		r, err := experiment.Table4b(dur)
-		return render(r, err, w)
-	case "table4c":
-		r, err := experiment.Table4c(dur)
-		return render(r, err, w)
-	case "fig4":
-		r, err := experiment.Figure4(dur)
-		return render(r, err, w)
-	case "fig5":
-		r, err := experiment.Figure5(dur)
-		return render(r, err, w)
-	case "fig6":
-		r, err := experiment.Figure6(dur, nil)
-		return render(r, err, w)
-	case "fig7":
-		r, err := experiment.Figure7(dur, nil)
-		return render(r, err, w)
-	case "fig8":
-		r, err := experiment.Figure8(dur)
-		return render(r, err, w)
-	case "fig9":
-		r, err := experiment.Figure9(dur)
-		return render(r, err, w)
-	default:
+	a, ok := experiment.Lookup(name)
+	if !ok || a.Class != experiment.ClassPaper {
 		return fmt.Errorf("microsliced: unknown experiment %q (have %v)", name, Experiments())
 	}
-}
-
-type renderer interface{ Render(io.Writer) }
-
-func render(r renderer, err error, w io.Writer) error {
+	r, err := a.Gen(dur, nil)
 	if err != nil {
 		return err
 	}

@@ -2,8 +2,12 @@ package microsliced
 
 import (
 	"bytes"
+	"io"
+	"reflect"
 	"strings"
 	"testing"
+
+	"github.com/microslicedcore/microsliced/internal/experiment"
 )
 
 func TestWorkloadsListed(t *testing.T) {
@@ -184,6 +188,27 @@ func TestSimulateLockAndTLBStats(t *testing.T) {
 func TestExperimentsList(t *testing.T) {
 	if len(Experiments()) != 12 {
 		t.Fatalf("experiments: %v", Experiments())
+	}
+}
+
+// TestExperimentsResolveInRegistry pins the public artefact list and its
+// order, and requires every name to resolve to a paper artefact in the
+// experiment registry.
+func TestExperimentsResolveInRegistry(t *testing.T) {
+	want := []string{
+		"table1", "table2", "table3", "table4a", "table4b", "table4c",
+		"fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
+	}
+	if got := Experiments(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Experiments() = %v, want %v", got, want)
+	}
+	for _, name := range want {
+		if a, ok := experiment.Lookup(name); !ok || a.Class != experiment.ClassPaper || a.Gen == nil {
+			t.Errorf("%s does not resolve to a paper artefact in the registry", name)
+		}
+	}
+	if err := Reproduce("ext-usercs", 0.1, io.Discard); err == nil {
+		t.Error("Reproduce accepted an artefact outside the paper's evaluation")
 	}
 }
 

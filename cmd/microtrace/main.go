@@ -28,14 +28,12 @@ import (
 	"strings"
 
 	"github.com/microslicedcore/microsliced/internal/core"
-	"github.com/microslicedcore/microsliced/internal/guest"
+	"github.com/microslicedcore/microsliced/internal/experiment"
 	"github.com/microslicedcore/microsliced/internal/hv"
-	"github.com/microslicedcore/microsliced/internal/ksym"
 	"github.com/microslicedcore/microsliced/internal/obs"
 	"github.com/microslicedcore/microsliced/internal/report"
 	"github.com/microslicedcore/microsliced/internal/simtime"
 	"github.com/microslicedcore/microsliced/internal/trace"
-	"github.com/microslicedcore/microsliced/internal/workload"
 )
 
 func main() {
@@ -55,9 +53,10 @@ func main() {
 	analyzeMain(os.Args[1:])
 }
 
-// analyzeMain is the classic mode: run, analyze, print text.
-func analyzeMain(args []string) {
-	fs := flag.NewFlagSet("microtrace", flag.ExitOnError)
+// scenarioFlags registers the scenario flags shared by the analysis and
+// export modes and returns a builder for the experiment.Setup they describe:
+// one VM per workload, named app-i with seed 11·(i+1), started 7 ms apart.
+func scenarioFlags(fs *flag.FlagSet) func() (experiment.Setup, error) {
 	var (
 		vms     = fs.String("vms", "gmake,swaptions", "comma-separated workloads, one VM each")
 		mode    = fs.String("mode", "off", "off, static, dynamic")
@@ -66,64 +65,65 @@ func analyzeMain(args []string) {
 		pcpus   = fs.Int("pcpus", 12, "physical CPUs")
 		vcpus   = fs.Int("vcpus", 12, "vCPUs per VM")
 		ring    = fs.Int("ring", 1<<20, "trace ring capacity (records)")
-		raw     = fs.Int("raw", 0, "also dump the last N raw records")
 	)
+	return func() (experiment.Setup, error) {
+		cc, err := core.ModeConfig(*mode, *cores)
+		if err != nil {
+			return experiment.Setup{}, err
+		}
+		hc := hv.DefaultConfig()
+		hc.TraceCapacity = *ring
+		s := experiment.Setup{
+			PCPUs:        *pcpus,
+			Core:         cc,
+			Duration:     simtime.Duration(*seconds * float64(simtime.Second)),
+			StaggerStart: true,
+			HVConfig:     &hc,
+		}
+		for i, app := range strings.Split(*vms, ",") {
+			app = strings.TrimSpace(app)
+			s.VMs = append(s.VMs, experiment.VMSpec{
+				Name: fmt.Sprintf("%s-%d", app, i), App: app, VCPUs: *vcpus, Seed: uint64(11 * (i + 1)),
+			})
+		}
+		return s, nil
+	}
+}
+
+// fail prints err and exits 1.
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, err)
+	os.Exit(1)
+}
+
+// analyzeMain is the classic mode: run, analyze, print text.
+func analyzeMain(args []string) {
+	fs := flag.NewFlagSet("microtrace", flag.ExitOnError)
+	build := scenarioFlags(fs)
+	raw := fs.Int("raw", 0, "also dump the last N raw records")
 	fs.Parse(args)
-
-	clock := simtime.NewClock()
-	cfg := hv.DefaultConfig()
-	cfg.PCPUs = *pcpus
-	cfg.TraceCapacity = *ring
-	h := hv.New(clock, cfg)
-
-	tabs := map[int16]*ksym.Table{}
-	var kernels []*guest.Kernel
-	for i, app := range strings.Split(*vms, ",") {
-		app = strings.TrimSpace(app)
-		sym := ksym.Generate(1000 + uint64(i))
-		k := guest.NewKernel(h, fmt.Sprintf("%s-%d", app, i), *vcpus, sym, guest.DefaultParams())
-		tabs[int16(k.Dom.ID)] = sym
-		if _, err := workload.New(app, k, uint64(11*(i+1))); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		kernels = append(kernels, k)
-	}
-
-	cc := core.DefaultConfig()
-	switch *mode {
-	case "off":
-		cc.Mode = core.ModeOff
-	case "static":
-		cc = core.StaticConfig(*cores)
-	case "dynamic":
-	default:
-		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *mode)
-		os.Exit(1)
-	}
-	ctrl, err := core.Attach(h, cc)
+	s, err := build()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fail(err)
 	}
-	h.Start()
-	ctrl.Start()
-	for i, k := range kernels {
-		if i == 0 {
-			k.StartAll()
-		} else {
-			k := k
-			clock.At(simtime.Time(i)*7*simtime.Millisecond, k.StartAll)
-		}
+	var (
+		recs []trace.Record
+		ctrl *core.Controller
+	)
+	s.PostCheck = func(pr *experiment.PostRun) error {
+		recs, ctrl = pr.HV.Trace.Records(), pr.Ctrl
+		return nil
 	}
-	clock.RunUntil(simtime.Duration(*seconds * float64(simtime.Second)))
-
-	recs := h.Trace.Records()
+	if _, err := experiment.Run(s); err != nil {
+		fail(err)
+	}
 	trace.Analyze(recs).Render(os.Stdout)
 
+	// Yield RIPs resolve through the symbol tables the detector parsed from
+	// each domain's System.map.
 	fmt.Println("\nyield RIPs (by symbol):")
 	rips := trace.YieldRIPs(recs, func(dom int16, rip uint64) string {
-		if tab := tabs[dom]; tab != nil {
+		if tab := ctrl.Symtab(int(dom)); tab != nil {
 			return fmt.Sprintf("dom%d:%s", dom, tab.NameOf(rip))
 		}
 		return "?"
@@ -149,94 +149,42 @@ func analyzeMain(args []string) {
 	}
 }
 
-// exportMain runs the same scenario shape as analyzeMain but writes the
-// trace ring as Chrome trace-event JSON.
+// exportMain runs the same scenario as analyzeMain with the observer
+// attached and writes the trace ring as Chrome trace-event JSON, including
+// the blame and controller-decision events microtrace blame reads back.
 func exportMain(args []string) {
 	fs := flag.NewFlagSet("microtrace export", flag.ExitOnError)
-	var (
-		vms     = fs.String("vms", "gmake,swaptions", "comma-separated workloads, one VM each")
-		mode    = fs.String("mode", "off", "off, static, dynamic")
-		cores   = fs.Int("cores", 1, "micro cores for -mode static")
-		seconds = fs.Float64("seconds", 1, "simulated seconds")
-		pcpus   = fs.Int("pcpus", 12, "physical CPUs")
-		vcpus   = fs.Int("vcpus", 12, "vCPUs per VM")
-		ring    = fs.Int("ring", 1<<20, "trace ring capacity (records)")
-		out     = fs.String("o", "trace.json", "output file (- for stdout)")
-	)
+	build := scenarioFlags(fs)
+	out := fs.String("o", "trace.json", "output file (- for stdout)")
 	fs.Parse(args)
-
-	clock := simtime.NewClock()
-	cfg := hv.DefaultConfig()
-	cfg.PCPUs = *pcpus
-	cfg.TraceCapacity = *ring
-	h := hv.New(clock, cfg)
-	h.SetObserver(obs.New(obs.Config{}))
-
-	names := map[int16]string{}
-	var kernels []*guest.Kernel
-	for i, app := range strings.Split(*vms, ",") {
-		app = strings.TrimSpace(app)
-		k := guest.NewKernel(h, fmt.Sprintf("%s-%d", app, i), *vcpus, ksym.Generate(1000+uint64(i)), guest.DefaultParams())
-		names[int16(k.Dom.ID)] = k.Dom.Name
-		if _, err := workload.New(app, k, uint64(11*(i+1))); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		kernels = append(kernels, k)
-	}
-	cc, err := coreConfig(*mode, *cores)
+	s, err := build()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fail(err)
 	}
-	ctrl, err := core.Attach(h, cc)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	h.Start()
-	ctrl.Start()
-	for i, k := range kernels {
-		if i == 0 {
-			k.StartAll()
-		} else {
-			k := k
-			clock.At(simtime.Time(i)*7*simtime.Millisecond, k.StartAll)
-		}
-	}
-	clock.RunUntil(simtime.Duration(*seconds * float64(simtime.Second)))
-
 	w := os.Stdout
 	if *out != "-" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fail(err)
 		}
-		defer f.Close()
 		w = f
 	}
-	if err := obs.WriteChromeTrace(w, h.Trace.Records(), obs.ExportMeta{DomainNames: names}); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	var records int
+	s.Obs = &obs.Config{}
+	s.TraceExport = w
+	s.PostCheck = func(pr *experiment.PostRun) error {
+		records = pr.HV.Trace.Len()
+		return nil
+	}
+	if _, err := experiment.Run(s); err != nil {
+		fail(err)
 	}
 	if *out != "-" {
-		fmt.Fprintf(os.Stderr, "wrote %s (%d records; load at https://ui.perfetto.dev)\n", *out, len(h.Trace.Records()))
+		if err := w.Close(); err != nil {
+			fail(err)
+		}
+		fmt.Fprintf(os.Stderr, "wrote %s (%d records; load at https://ui.perfetto.dev)\n", *out, records)
 	}
-}
-
-func coreConfig(mode string, cores int) (core.Config, error) {
-	cc := core.DefaultConfig()
-	switch mode {
-	case "off":
-		cc.Mode = core.ModeOff
-	case "static":
-		cc = core.StaticConfig(cores)
-	case "dynamic":
-	default:
-		return cc, fmt.Errorf("unknown mode %q", mode)
-	}
-	return cc, nil
 }
 
 // validateMain structurally checks a Chrome trace-event JSON file.

@@ -19,13 +19,16 @@ import (
 	"github.com/microslicedcore/microsliced/internal/core"
 	"github.com/microslicedcore/microsliced/internal/experiment"
 	"github.com/microslicedcore/microsliced/internal/obs"
-	"github.com/microslicedcore/microsliced/internal/report"
 	"github.com/microslicedcore/microsliced/internal/simtime"
 )
 
 func main() {
+	var names []string
+	for _, a := range experiment.Artefacts() {
+		names = append(names, a.Name)
+	}
 	var (
-		runs     = flag.String("run", "all", "comma-separated experiments: table1,table2,table3,table4a,table4b,table4c,fig4,fig5,fig6,fig7,fig8,fig9,ext-usercs,faultsweep,recoverysweep,serve or 'all'")
+		runs     = flag.String("run", "all", "comma-separated experiments: "+strings.Join(names, ",")+" or 'all'")
 		secs     = flag.Float64("seconds", 3, "simulated seconds per run")
 		par      = flag.Int("parallel", 0, "scenario workers (0 = GOMAXPROCS, 1 = serial)")
 		prof     = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -43,33 +46,8 @@ func main() {
 	)
 	flag.Parse()
 	experiment.SetParallelism(*par)
-	if *checked {
-		experiment.SetCheckHook(check.Conservation)
-	}
-	if *verbose {
-		experiment.SetDefaultObs(&obs.Config{})
-		var mu sync.Mutex
-		var lastMem runtime.MemStats
-		runtime.ReadMemStats(&lastMem)
-		experiment.SetRunHook(func(s experiment.Setup, r *experiment.Result) {
-			mu.Lock()
-			defer mu.Unlock()
-			// Process-wide allocation delta since the previous line. With
-			// -parallel > 1 scenarios overlap, so the per-scenario
-			// attribution is approximate; the totals are exact.
-			var m runtime.MemStats
-			runtime.ReadMemStats(&m)
-			allocs := m.Mallocs - lastMem.Mallocs
-			mb := float64(m.TotalAlloc-lastMem.TotalAlloc) / (1 << 20)
-			lastMem = m
-			fmt.Fprintf(os.Stderr, "%s | %d allocs/op %.1f MB/op\n", telemetryLine(s, r), allocs, mb)
-			for _, line := range blameLines(s, r) {
-				fmt.Fprintln(os.Stderr, line)
-			}
-			for _, line := range decisionLines(s, r) {
-				fmt.Fprintln(os.Stderr, line)
-			}
-		})
+	if *checked || *verbose {
+		experiment.SetSetupHook(setupHook(*checked, *verbose))
 	}
 	if *traceOut != "" {
 		if err := exportTrace(*traceOut, simtime.Duration(*secs*float64(simtime.Second))); err != nil {
@@ -139,86 +117,109 @@ func main() {
 		want["serve"] = true
 	}
 	// The fault, recovery and serving sweeps are opt-in: "all" means the
-	// paper's artefacts.
-	sel := func(name string) bool {
-		if name == "faultsweep" || name == "recoverysweep" || name == "serve" {
-			return want[name]
-		}
-		return all || want[name]
+	// paper's artefacts and the extension.
+	sel := func(a experiment.Artefact) bool {
+		return want[a.Name] || all && a.Class != experiment.ClassOptIn
 	}
 
-	type job struct {
-		name string
-		run  func() (report.Renderer, error)
-	}
+	// Artefacts run serially in registry order — fig6/fig7 consume the
+	// static-best pool sizes recorded by the fig4/fig5 sweeps — but each
+	// generator submits its own scenario grid through experiment.RunAll, so
+	// the -parallel worker pool is busy within every artefact.
 	var bests map[string]int
-	record := func(sweeps []*experiment.SweepResult) {
-		if bests == nil {
-			bests = map[string]int{}
-		}
-		for _, s := range sweeps {
-			bests[s.Workload] = s.BestStatic()
-		}
-	}
-	// Jobs run serially — fig6/fig7 consume the static-best pool sizes
-	// recorded by the fig4/fig5 sweeps — but each generator submits its own
-	// scenario grid through experiment.RunAll, so the -parallel worker pool
-	// is busy within every job.
-	jobs := []job{
-		{"table1", func() (report.Renderer, error) { return experiment.Table1(dur) }},
-		{"table2", func() (report.Renderer, error) { return experiment.Table2(dur) }},
-		{"table3", func() (report.Renderer, error) { return experiment.Table3(dur) }},
-		{"table4a", func() (report.Renderer, error) { return experiment.Table4a(dur) }},
-		{"table4b", func() (report.Renderer, error) { return experiment.Table4b(dur) }},
-		{"table4c", func() (report.Renderer, error) { return experiment.Table4c(dur) }},
-		{"fig4", func() (report.Renderer, error) {
-			r, err := experiment.Figure4(dur)
-			if err == nil {
-				record(r.Sweeps)
-			}
-			return r, err
-		}},
-		{"fig5", func() (report.Renderer, error) {
-			r, err := experiment.Figure5(dur)
-			if err == nil {
-				record(r.Sweeps)
-			}
-			return r, err
-		}},
-		{"fig6", func() (report.Renderer, error) { return experiment.Figure6(dur, bests) }},
-		{"fig7", func() (report.Renderer, error) { return experiment.Figure7(dur, bests) }},
-		{"fig8", func() (report.Renderer, error) { return experiment.Figure8(dur) }},
-		{"fig9", func() (report.Renderer, error) { return experiment.Figure9(dur) }},
-		{"ext-usercs", func() (report.Renderer, error) { return experiment.ExtensionUserCS(dur) }},
-		{"faultsweep", func() (report.Renderer, error) { return experiment.FaultSweep(dur) }},
-		{"recoverysweep", func() (report.Renderer, error) { return experiment.RecoverySweep(dur) }},
-		{"serve", func() (report.Renderer, error) {
-			r, err := experiment.ServeSweep(dur)
-			if err == nil && *serveOut != "" {
-				if werr := writeJSON(*serveOut, r); werr != nil {
-					return nil, fmt.Errorf("serve-out: %w", werr)
-				}
-			}
-			return r, err
-		}},
-	}
 	start := time.Now()
-	for _, j := range jobs {
-		if !sel(j.name) {
+	for _, a := range experiment.Artefacts() {
+		if !sel(a) {
 			continue
 		}
 		fmt.Fprintf(os.Stderr, "running %s (%v simulated per scenario, %d workers)...\n",
-			j.name, dur, experiment.Parallelism())
+			a.Name, dur, experiment.Parallelism())
 		t0 := time.Now()
-		r, err := j.run()
+		r, err := a.Gen(dur, bests)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", j.name, err)
+			fmt.Fprintf(os.Stderr, "%s: %v\n", a.Name, err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "%s done in %v\n", j.name, time.Since(t0).Round(time.Millisecond))
+		switch r := r.(type) {
+		case *experiment.Figure4Result:
+			bests = recordBests(bests, r.Sweeps)
+		case *experiment.Figure5Result:
+			bests = recordBests(bests, r.Sweeps)
+		case *experiment.ServeSweepResult:
+			if *serveOut != "" {
+				if err := writeJSON(*serveOut, r); err != nil {
+					fmt.Fprintf(os.Stderr, "serve-out: %v\n", err)
+					os.Exit(1)
+				}
+			}
+		}
+		fmt.Fprintf(os.Stderr, "%s done in %v\n", a.Name, time.Since(t0).Round(time.Millisecond))
 		r.Render(os.Stdout)
 	}
 	fmt.Fprintf(os.Stderr, "total wall-clock: %v\n", time.Since(start).Round(time.Millisecond))
+}
+
+// recordBests notes each Figure 4/5 sweep's best static pool size for
+// Figures 6 and 7.
+func recordBests(bests map[string]int, sweeps []*experiment.SweepResult) map[string]int {
+	if bests == nil {
+		bests = map[string]int{}
+	}
+	for _, s := range sweeps {
+		bests[s.Workload] = s.BestStatic()
+	}
+	return bests
+}
+
+// setupHook builds the -check/-v hook applied to every scenario Run builds
+// through experiment.Run. -v attaches an observer where the Setup has none;
+// both wrap the Setup's own PostCheck: it runs first, then the conservation
+// checks (-check), then the telemetry, blame and decision lines (-v).
+func setupHook(checked, verbose bool) func(*experiment.Setup) {
+	var mu sync.Mutex
+	var lastMem runtime.MemStats
+	runtime.ReadMemStats(&lastMem)
+	printLines := func(s experiment.Setup, r *experiment.Result) {
+		mu.Lock()
+		defer mu.Unlock()
+		// Process-wide allocation delta since the previous line. With
+		// -parallel > 1 scenarios overlap, so the per-scenario attribution
+		// is approximate; the totals are exact.
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		allocs := m.Mallocs - lastMem.Mallocs
+		mb := float64(m.TotalAlloc-lastMem.TotalAlloc) / (1 << 20)
+		lastMem = m
+		fmt.Fprintf(os.Stderr, "%s | %d allocs/op %.1f MB/op\n", telemetryLine(s, r), allocs, mb)
+		for _, line := range blameLines(s, r) {
+			fmt.Fprintln(os.Stderr, line)
+		}
+		for _, line := range decisionLines(s, r) {
+			fmt.Fprintln(os.Stderr, line)
+		}
+	}
+	return func(s *experiment.Setup) {
+		if verbose && s.Obs == nil {
+			s.Obs = &obs.Config{}
+		}
+		inner := s.PostCheck
+		s.PostCheck = func(pr *experiment.PostRun) error {
+			if inner != nil {
+				if err := inner(pr); err != nil {
+					return err
+				}
+			}
+			if checked {
+				if err := check.Conservation(pr); err != nil {
+					return err
+				}
+			}
+			if verbose {
+				printLines(*pr.Setup, pr.Result)
+			}
+			return nil
+		}
+	}
 }
 
 // telemetryLine condenses one scenario's observability read-out: the

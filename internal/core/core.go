@@ -80,11 +80,6 @@ type Config struct {
 	// the default of 256).
 	DecisionDepth int
 
-	// AccelerateIO migrates preempted recipients of relayed vIRQs and
-	// reschedule vIPIs (paper §4.2, Figure 2) — the mixed-behaviour-vCPU
-	// fix that BOOSTING cannot provide.
-	AccelerateIO bool
-
 	// PreciseSelection restricts sibling migration to vCPUs whose RIP
 	// classifies as a critical service. Disabling it migrates any
 	// preempted sibling (ablation D1).
@@ -104,7 +99,6 @@ func DefaultConfig() Config {
 		ProfileInterval:  10 * simtime.Millisecond,
 		EpochInterval:    1000 * simtime.Millisecond,
 		StabilityEpochs:  defaultStabilityEpochs,
-		AccelerateIO:     true,
 		PreciseSelection: true,
 	}
 }
@@ -121,6 +115,22 @@ func StaticConfig(n int) Config {
 	c.Mode = ModeStatic
 	c.StaticCores = n
 	return c
+}
+
+// ModeConfig maps a mode name — "off", "static" or "dynamic" — to its
+// configuration; staticCores sizes the micro pool in "static" mode.
+func ModeConfig(mode string, staticCores int) (Config, error) {
+	switch mode {
+	case "off":
+		c := DefaultConfig()
+		c.Mode = ModeOff
+		return c, nil
+	case "static":
+		return StaticConfig(staticCores), nil
+	case "dynamic":
+		return DefaultConfig(), nil
+	}
+	return Config{}, fmt.Errorf("core: unknown mode %q", mode)
 }
 
 // eventStats is one profiling sample of urgent-event counts.
@@ -298,10 +308,11 @@ func Attach(h *hv.Hypervisor, cfg Config) (*Controller, error) {
 		return c, nil
 	}
 	h.Hooks.OnYield = c.onYield
-	if cfg.AccelerateIO {
-		h.Hooks.OnVIRQRelay = c.onVIRQRelay
-		h.Hooks.OnVIPIRelay = c.onVIPIRelay
-	}
+	// I/O acceleration: preempted recipients of relayed vIRQs and reschedule
+	// vIPIs migrate too (paper §4.2, Figure 2) — the mixed-behaviour-vCPU
+	// fix that BOOSTING cannot provide.
+	h.Hooks.OnVIRQRelay = c.onVIRQRelay
+	h.Hooks.OnVIPIRelay = c.onVIPIRelay
 	// Hot-unplug can evict micro pCPUs behind the controller's back: the
 	// gauge must re-sync in every active mode, and dynamic mode re-profiles.
 	h.Hooks.OnCapacityChange = c.onCapacityChange

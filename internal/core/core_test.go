@@ -377,6 +377,24 @@ func TestModeString(t *testing.T) {
 	}
 }
 
+func TestModeConfig(t *testing.T) {
+	for _, m := range []Mode{ModeOff, ModeStatic, ModeDynamic} {
+		c, err := ModeConfig(m.String(), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Mode != m {
+			t.Errorf("ModeConfig(%q).Mode = %v", m, c.Mode)
+		}
+	}
+	if c, _ := ModeConfig("static", 2); c != StaticConfig(2) {
+		t.Errorf("static config = %+v, want StaticConfig(2)", c)
+	}
+	if _, err := ModeConfig("turbo", 0); err == nil {
+		t.Error("unknown mode accepted")
+	}
+}
+
 // counterWorld builds a guest-free world whose urgent-event counters are
 // driven by hand: tests script one profiling sample per timer window by
 // bumping the hypervisor counters the controller snapshots, making every

@@ -115,10 +115,9 @@ type Setup struct {
 	PostCheck func(*PostRun) error
 }
 
-// PostRun is the post-run view handed to Setup.PostCheck and the
-// process-wide check hook (SetCheckHook): the settled Setup and Result plus
-// the live hypervisor, the observer (nil when the run had none) and the
-// final virtual time.
+// PostRun is the post-run view handed to Setup.PostCheck: the settled Setup
+// and Result plus the live hypervisor, the observer (nil when the run had
+// none), the controller and the final virtual time.
 type PostRun struct {
 	Setup  *Setup
 	Result *Result
@@ -248,6 +247,9 @@ func Run(s Setup) (res *Result, err error) {
 			err = fmt.Errorf("experiment: panic in scenario: %v\n%s", r, debug.Stack())
 		}
 	}()
+	if fn := setupHook.Load(); fn != nil {
+		(*fn)(&s)
+	}
 	if s.PCPUs == 0 {
 		s.PCPUs = DefaultPCPUs
 	}
@@ -272,9 +274,6 @@ func Run(s Setup) (res *Result, err error) {
 				return nil, fmt.Errorf("experiment: VM %s: vCPU %d pinned to pCPU %d of %d", vm.Name, j, pin, s.PCPUs)
 			}
 		}
-	}
-	if s.Obs == nil {
-		s.Obs = defaultObs.Load()
 	}
 	clock := simtime.NewClock()
 	cfg := hv.DefaultConfig()
@@ -484,19 +483,11 @@ func Run(s Setup) (res *Result, err error) {
 			return nil, fmt.Errorf("experiment: trace export: %v", err)
 		}
 	}
-	pr := &PostRun{Setup: &s, Result: res, HV: h, Obs: observer, Ctrl: ctrl, Now: clock.Now()}
 	if s.PostCheck != nil {
+		pr := &PostRun{Setup: &s, Result: res, HV: h, Obs: observer, Ctrl: ctrl, Now: clock.Now()}
 		if cerr := s.PostCheck(pr); cerr != nil {
 			return nil, fmt.Errorf("experiment: post-run check: %w", cerr)
 		}
-	}
-	if fn := checkHook.Load(); fn != nil {
-		if cerr := (*fn)(pr); cerr != nil {
-			return nil, fmt.Errorf("experiment: post-run check: %w", cerr)
-		}
-	}
-	if fn := runHook.Load(); fn != nil {
-		(*fn)(s, res)
 	}
 	return res, nil
 }

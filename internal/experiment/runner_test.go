@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/microslicedcore/microsliced/internal/core"
+	"github.com/microslicedcore/microsliced/internal/obs"
 )
 
 // twoVMSetup is the determinism-regression scenario: two VMs, detection on,
@@ -134,5 +135,97 @@ func TestSetParallelismClampsNegative(t *testing.T) {
 	defer SetParallelism(0)
 	if Parallelism() < 1 {
 		t.Fatalf("Parallelism()=%d after negative set", Parallelism())
+	}
+}
+
+// TestSetupHookReachesEveryScenario installs a hook that attaches an
+// observer and a counting PostCheck, and requires it to reach every scenario
+// of a RunAll grid and of a RunAllSettled grid.
+func TestSetupHookReachesEveryScenario(t *testing.T) {
+	var checks atomic.Int64
+	SetSetupHook(func(s *Setup) {
+		s.Obs = &obs.Config{}
+		s.PostCheck = func(*PostRun) error {
+			checks.Add(1)
+			return nil
+		}
+	})
+	defer SetSetupHook(nil)
+	SetParallelism(2)
+	defer SetParallelism(0)
+	grid := []Setup{
+		twoVMSetup(),
+		soloSetup("gmake", quick),
+		corunSetup("dedup", offConfig(), quick),
+	}
+	res, err := RunAll(grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	settled := RunAllSettled(grid)
+	for _, jr := range settled {
+		if jr.Err != nil {
+			t.Fatal(jr.Err)
+		}
+		res = append(res, jr.Result)
+	}
+	if got, want := checks.Load(), int64(2*len(grid)); got != want {
+		t.Fatalf("hook's PostCheck ran %d times, want %d", got, want)
+	}
+	for i, r := range res {
+		if r.Telemetry == nil {
+			t.Fatalf("result %d: no telemetry although the hook set Obs", i)
+		}
+	}
+}
+
+// TestSetupHookCheckFailsRun requires an error from a hook-installed
+// PostCheck to fail the Run, after the Setup's own PostCheck ran.
+func TestSetupHookCheckFailsRun(t *testing.T) {
+	var ownRan bool
+	SetSetupHook(func(s *Setup) {
+		inner := s.PostCheck
+		s.PostCheck = func(pr *PostRun) error {
+			if err := inner(pr); err != nil {
+				return err
+			}
+			return fmt.Errorf("hook check rejects %d VMs", len(pr.Setup.VMs))
+		}
+	})
+	defer SetSetupHook(nil)
+	s := soloSetup("gmake", quick)
+	s.PostCheck = func(*PostRun) error {
+		ownRan = true
+		return nil
+	}
+	if _, err := Run(s); err == nil || !strings.Contains(err.Error(), "hook check rejects 1 VMs") {
+		t.Fatalf("Run err = %v, want the hook's check error", err)
+	}
+	if !ownRan {
+		t.Fatal("the Setup's own PostCheck did not run under the hook")
+	}
+}
+
+// TestSetupHookClearedRestoresPlainRuns requires a cleared hook to leave
+// runs exactly as they are without one.
+func TestSetupHookClearedRestoresPlainRuns(t *testing.T) {
+	plain, err := Run(twoVMSetup())
+	if err != nil {
+		t.Fatal(err)
+	}
+	SetSetupHook(func(s *Setup) {
+		s.Obs = &obs.Config{}
+		s.PostCheck = func(*PostRun) error { return fmt.Errorf("hook still installed") }
+	})
+	SetSetupHook(nil)
+	again, err := Run(twoVMSetup())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Telemetry != nil {
+		t.Fatal("cleared hook still attached an observer")
+	}
+	if !reflect.DeepEqual(plain, again) {
+		t.Fatal("run after clearing the hook differs from a plain run")
 	}
 }

@@ -21,12 +21,13 @@ import (
 	"github.com/microslicedcore/microsliced/internal/simtime"
 )
 
+// spanSubBuckets is the per-octave resolution of the span latency
+// histograms, the resolution used everywhere else.
+const spanSubBuckets = 8
+
 // Config selects what the observer records. The zero value is a fully
 // functional in-memory configuration.
 type Config struct {
-	// SpanSubBuckets is the per-octave resolution of the span latency
-	// histograms (default 8, the resolution used everywhere else).
-	SpanSubBuckets int
 	// FlightDepth bounds the trace-ring tail captured per flight dump
 	// (default 64 records).
 	FlightDepth int
@@ -42,9 +43,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.SpanSubBuckets <= 0 {
-		c.SpanSubBuckets = 8
-	}
 	if c.FlightDepth <= 0 {
 		c.FlightDepth = 64
 	}
@@ -149,10 +147,10 @@ type Observer struct {
 func New(cfg Config) *Observer {
 	o := &Observer{cfg: cfg.withDefaults()}
 	for k := range o.hists {
-		o.hists[k] = metrics.NewHistogram(o.cfg.SpanSubBuckets)
+		o.hists[k] = metrics.NewHistogram(spanSubBuckets)
 		o.stageHists[k] = make([]*metrics.Histogram, len(spanStageNames[k]))
 		for i := range o.stageHists[k] {
-			o.stageHists[k][i] = metrics.NewHistogram(o.cfg.SpanSubBuckets)
+			o.stageHists[k][i] = metrics.NewHistogram(spanSubBuckets)
 		}
 	}
 	return o

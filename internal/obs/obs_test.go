@@ -368,7 +368,7 @@ func TestFlightDumpIncludesRepairTail(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	o := New(Config{})
 	c := o.Config()
-	if c.SpanSubBuckets != 8 || c.FlightDepth != 64 || c.MaxFlights != 4 || c.Label != "run" {
+	if c.FlightDepth != 64 || c.MaxFlights != 4 || c.Label != "run" {
 		t.Errorf("defaulted config = %+v", c)
 	}
 }

@@ -90,31 +90,25 @@ type Buffer struct {
 	recs    []Record
 	next    int
 	wrapped bool
-	enabled bool
 	counts  [kindCount]uint64
 }
 
-// NewBuffer returns an enabled ring holding up to capacity records.
-// Capacity 0 disables record storage but keeps counters.
+// NewBuffer returns a ring holding up to capacity records. Capacity 0
+// disables record storage but keeps counters.
 func NewBuffer(capacity int) *Buffer {
-	b := &Buffer{enabled: true}
+	b := &Buffer{}
 	if capacity > 0 {
 		b.recs = make([]Record, capacity)
 	}
 	return b
 }
 
-// SetEnabled toggles recording (counters keep counting regardless; disabling
-// only stops ring writes, which is what xentrace's enable bit does for its
-// consumers in our usage).
-func (b *Buffer) SetEnabled(on bool) { b.enabled = on }
-
 // Emit appends one record.
 func (b *Buffer) Emit(r Record) {
 	if int(r.Kind) < len(b.counts) {
 		b.counts[r.Kind]++
 	}
-	if !b.enabled || len(b.recs) == 0 {
+	if len(b.recs) == 0 {
 		return
 	}
 	b.recs[b.next] = r
@@ -152,22 +146,4 @@ func (b *Buffer) Records() []Record {
 	out = append(out, b.recs[b.next:]...)
 	out = append(out, b.recs[:b.next]...)
 	return out
-}
-
-// Filter returns held records matching pred, oldest-first.
-func (b *Buffer) Filter(pred func(Record) bool) []Record {
-	var out []Record
-	for _, r := range b.Records() {
-		if pred(r) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// ResetCounts zeroes the per-kind counters (ring contents are kept).
-func (b *Buffer) ResetCounts() {
-	for i := range b.counts {
-		b.counts[i] = 0
-	}
 }

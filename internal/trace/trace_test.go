@@ -45,57 +45,11 @@ func TestRingWrapKeepsNewest(t *testing.T) {
 	}
 }
 
-func TestCountsExactWhenDisabled(t *testing.T) {
-	b := NewBuffer(2)
-	b.SetEnabled(false)
-	for i := 0; i < 7; i++ {
-		b.Emit(Record{Kind: KindVIPI})
-	}
-	if b.Count(KindVIPI) != 7 {
-		t.Fatalf("count=%d", b.Count(KindVIPI))
-	}
-	if b.Len() != 0 {
-		t.Fatalf("disabled ring stored %d records", b.Len())
-	}
-}
-
 func TestZeroCapacityBufferCountsOnly(t *testing.T) {
 	b := NewBuffer(0)
 	b.Emit(Record{Kind: KindYield})
 	if b.Count(KindYield) != 1 || b.Len() != 0 {
 		t.Fatalf("count=%d len=%d", b.Count(KindYield), b.Len())
-	}
-}
-
-func TestFilter(t *testing.T) {
-	b := NewBuffer(16)
-	for i := 0; i < 8; i++ {
-		k := KindYield
-		if i%2 == 0 {
-			k = KindBlock
-		}
-		b.Emit(Record{Kind: k, VCPU: int16(i)})
-	}
-	got := b.Filter(func(r Record) bool { return r.Kind == KindYield })
-	if len(got) != 4 {
-		t.Fatalf("filtered %d", len(got))
-	}
-	for _, r := range got {
-		if r.Kind != KindYield {
-			t.Fatalf("filter leaked %v", r)
-		}
-	}
-}
-
-func TestResetCounts(t *testing.T) {
-	b := NewBuffer(4)
-	b.Emit(Record{Kind: KindWake})
-	b.ResetCounts()
-	if b.Count(KindWake) != 0 {
-		t.Fatal("ResetCounts failed")
-	}
-	if b.Len() != 1 {
-		t.Fatal("ResetCounts should keep ring contents")
 	}
 }
 
