@@ -9,7 +9,8 @@ import (
 // BlameFromSummary converts one run's telemetry read-out into the causal
 // attribution table: one row per span kind with recorded spans, carrying the
 // stage latency budget, the dominant stage and its share. Span kinds that
-// recorded nothing are omitted.
+// recorded nothing are omitted, and so are kinds whose spans all took zero
+// time: they have no time to apportion among stages.
 func BlameFromSummary(scenario string, sum *obs.Summary) *report.Blame {
 	b := &report.Blame{Title: "Causal latency attribution: " + scenario}
 	if sum == nil {
@@ -17,7 +18,7 @@ func BlameFromSummary(scenario string, sum *obs.Summary) *report.Blame {
 	}
 	for i := range sum.Spans {
 		sp := &sum.Spans[i]
-		if sp.Count == 0 {
+		if sp.Count == 0 || sp.Total == 0 {
 			continue
 		}
 		row := report.BlameRow{

@@ -649,4 +649,3 @@ func corunSetup(app string, cc core.Config, dur simtime.Duration) Setup {
 		StaggerStart: true,
 	}
 }
-

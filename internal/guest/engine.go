@@ -640,8 +640,7 @@ func (v *VCPU) opDone() {
 		if sock.Len() == 0 {
 			panic("guest: recv completion with empty socket")
 		}
-		p := sock.buf[0]
-		sock.buf = sock.buf[1:]
+		p := sock.pop()
 		sock.Consumed++
 		if o := v.k.HV.Obs; o != nil {
 			o.End(p.Span, now) // net_rx closes at application-level consume

@@ -84,11 +84,14 @@ type BlockDevice interface {
 }
 
 // Socket is a minimal in-kernel receive queue connecting the softIRQ path
-// to one application thread.
+// to one application thread. The queue is buf[head:]: pops advance head,
+// and the backing array is reused rather than re-sliced away, so a steady
+// deliver/consume cycle allocates nothing.
 type Socket struct {
 	k      *Kernel
 	Flow   int
 	buf    []Packet
+	head   int // index of the oldest queued packet in buf
 	waiter *Thread
 	// OnAppConsume fires when the application-level thread consumes a
 	// packet (iPerf accounts throughput and jitter here; TCP-like flows
@@ -99,16 +102,34 @@ type Socket struct {
 }
 
 // Len returns the number of buffered packets.
-func (s *Socket) Len() int { return len(s.buf) }
+func (s *Socket) Len() int { return len(s.buf) - s.head }
 
 // deliver appends a packet (softIRQ context) and returns the waiter to wake,
 // if any.
 func (s *Socket) deliver(p Packet) *Thread {
+	// A full array whose consumed prefix is at least half of it is
+	// compacted instead of grown. Each compaction copies fewer packets than
+	// were popped since the last one, so delivery stays O(1) amortized even
+	// when the queue never drains.
+	if len(s.buf) == cap(s.buf) && s.head > 0 && 2*s.head >= len(s.buf) {
+		n := copy(s.buf, s.buf[s.head:])
+		s.buf, s.head = s.buf[:n], 0
+	}
 	s.buf = append(s.buf, p)
 	s.Delivered++
 	w := s.waiter
 	s.waiter = nil
 	return w
+}
+
+// pop removes and returns the oldest packet; the queue must not be empty.
+// A drained queue rewinds to the start of its backing array.
+func (s *Socket) pop() Packet {
+	p := s.buf[s.head]
+	if s.head++; s.head == len(s.buf) {
+		s.buf, s.head = s.buf[:0], 0
+	}
+	return p
 }
 
 // Kernel is the guest OS instance of one domain.

@@ -169,6 +169,9 @@ func (t *Thread) State() ThreadState { return t.state }
 // VCPUIndex returns the index of the thread's home vCPU.
 func (t *Thread) VCPUIndex() int { return t.vc.idx }
 
+// Program returns the program the thread runs.
+func (t *Thread) Program() Program { return t.prog }
+
 func (t *Thread) String() string {
 	return fmt.Sprintf("%s(t%d,%s)", t.Name, t.ID, t.state)
 }

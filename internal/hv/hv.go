@@ -587,6 +587,8 @@ type Hypervisor struct {
 	lostIPIs []LostIPI
 	lostSeq  uint64
 
+	relayFree []*relay // recycled interrupt-relay records (see relay)
+
 	stoleNext bool // pickNext→dispatch handoff: the pick came from a steal
 
 	// microSince/microArea integrate the micro pool's size over time

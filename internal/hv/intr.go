@@ -146,20 +146,7 @@ func (h *Hypervisor) RedriveLostIPI(seq uint64) bool {
 func (h *Hypervisor) InjectPIRQ(d *Domain, vec Vector, data uint64) {
 	h.hot.pirq.Inc()
 	h.emit(trace.KindPIRQ, nil, uint64(vec), uint64(d.ID))
-	h.Clock.AfterLabeled(h.Cfg.PIRQCost, "pirq", func() {
-		if d.IRQVCPU < 0 || d.IRQVCPU >= len(d.VCPUs) {
-			panic(fmt.Sprintf("hv: domain %s has bad IRQ vCPU %d", d.Name, d.IRQVCPU))
-		}
-		target := d.VCPUs[d.IRQVCPU]
-		target.virqRecv++
-		h.hot.virqSent.Inc()
-		d.hot.virqSent.Inc()
-		h.emit(trace.KindVIRQ, target, uint64(vec), 0)
-		if h.Hooks.OnVIRQRelay != nil {
-			h.Hooks.OnVIRQRelay(target)
-		}
-		h.deliver(target, vec, data, 0)
-	})
+	h.Clock.AfterLabeled(h.Cfg.PIRQCost, "pirq", h.newRelay(nil, d, vec, data, 0).pirqFn)
 }
 
 // InjectPIRQTo routes a device interrupt to a specific vCPU — per-queue
@@ -169,16 +156,76 @@ func (h *Hypervisor) InjectPIRQ(d *Domain, vec Vector, data uint64) {
 func (h *Hypervisor) InjectPIRQTo(target *VCPU, vec Vector, data uint64) {
 	h.hot.pirq.Inc()
 	h.emit(trace.KindPIRQ, target, uint64(vec), uint64(target.DomID))
-	h.Clock.AfterLabeled(h.Cfg.PIRQCost, "pirq", func() {
-		target.virqRecv++
-		h.hot.virqSent.Inc()
-		target.Dom.hot.virqSent.Inc()
-		h.emit(trace.KindVIRQ, target, uint64(vec), 0)
-		if h.Hooks.OnVIRQRelay != nil {
-			h.Hooks.OnVIRQRelay(target)
+	h.Clock.AfterLabeled(h.Cfg.PIRQCost, "pirq", h.newRelay(target, nil, vec, data, 0).pirqFn)
+}
+
+// relay is one interrupt in flight through a hypervisor relay event: a
+// device interrupt's PIRQ handling (InjectPIRQ/InjectPIRQTo) or a vIPI's
+// injection latency (deliver). Records are recycled through the
+// hypervisor's free list, and their fire methods are bound once when a
+// record is first made, so relaying an interrupt allocates nothing at
+// steady state. Relay events are never cancelled: a record goes back on
+// the free list only when its event fires, and it is released before its
+// work runs, so the work may relay further interrupts through it.
+type relay struct {
+	h    *Hypervisor
+	dst  *VCPU   // target vCPU; nil for InjectPIRQ, which routes at fire time
+	dom  *Domain // InjectPIRQ's domain, whose IRQ vCPU is the target
+	vec  Vector
+	data uint64
+	span obs.SpanRef
+
+	injectFn func() // pre-bound inject
+	pirqFn   func() // pre-bound pirq
+}
+
+// newRelay takes a record from the free list (or makes one) and fills it.
+func (h *Hypervisor) newRelay(dst *VCPU, dom *Domain, vec Vector, data uint64, span obs.SpanRef) *relay {
+	var r *relay
+	if n := len(h.relayFree); n > 0 {
+		r = h.relayFree[n-1]
+		h.relayFree = h.relayFree[:n-1]
+	} else {
+		r = &relay{h: h}
+		r.injectFn = r.inject
+		r.pirqFn = r.pirq
+	}
+	r.dst, r.dom, r.vec, r.data, r.span = dst, dom, vec, data, span
+	return r
+}
+
+// free returns a fired record to the hypervisor's free list.
+func (r *relay) free() {
+	r.dst, r.dom = nil, nil
+	r.h.relayFree = append(r.h.relayFree, r)
+}
+
+// inject fires a vIPI's injection after the IPI latency.
+func (r *relay) inject() {
+	h, dst, vec, data, span := r.h, r.dst, r.vec, r.data, r.span
+	r.free()
+	h.injectOrQueue(dst, vec, data, span)
+}
+
+// pirq finishes a device interrupt's hypervisor handling and forwards the
+// virtual IRQ to its target vCPU.
+func (r *relay) pirq() {
+	h, target, vec, data := r.h, r.dst, r.vec, r.data
+	if d := r.dom; d != nil {
+		if d.IRQVCPU < 0 || d.IRQVCPU >= len(d.VCPUs) {
+			panic(fmt.Sprintf("hv: domain %s has bad IRQ vCPU %d", d.Name, d.IRQVCPU))
 		}
-		h.deliver(target, vec, data, 0)
-	})
+		target = d.VCPUs[d.IRQVCPU]
+	}
+	r.free()
+	target.virqRecv++
+	h.hot.virqSent.Inc()
+	target.Dom.hot.virqSent.Inc()
+	h.emit(trace.KindVIRQ, target, uint64(vec), 0)
+	if h.Hooks.OnVIRQRelay != nil {
+		h.Hooks.OnVIRQRelay(target)
+	}
+	h.deliver(target, vec, data, 0)
 }
 
 // deliver routes an interrupt to dst according to its scheduling state.
@@ -190,9 +237,7 @@ func (h *Hypervisor) deliver(dst *VCPU, vec Vector, data uint64, span obs.SpanRe
 	}
 	switch dst.state {
 	case StateRunning:
-		h.Clock.AfterLabeled(h.Cfg.IPILatency, "inject", func() {
-			h.injectOrQueue(dst, vec, data, span)
-		})
+		h.Clock.AfterLabeled(h.Cfg.IPILatency, "inject", h.newRelay(dst, nil, vec, data, span).injectFn)
 	case StateBlocked:
 		dst.pending = append(dst.pending, PendingIRQ{Vec: vec, Data: data, Span: span})
 		h.Wake(dst, true)

@@ -17,9 +17,9 @@ type ExportMeta struct {
 	DomainNames map[int16]string
 	// Spans, when non-nil, embeds the run's span/stage aggregates (one
 	// SpanStat per kind, as produced by Observer.Summary) as "X" events on
-	// a synthetic "latency" process (pid=-2): one slice per recorded kind,
-	// its stage decomposition in args. microtrace blame recomputes the
-	// attribution table offline from these events.
+	// a synthetic "latency" process (pid=-2): one slice per kind with
+	// nonzero total time, its stage decomposition in args. microtrace
+	// blame recomputes the attribution table offline from these events.
 	Spans []SpanStat
 	// Decisions, when non-nil, embeds the adaptive controller's decision
 	// trail as "i" instant events on a synthetic "controller" process
@@ -191,12 +191,14 @@ func (e *chromeEmitter) complete(dom, vcpu int16, o openRun, end simtime.Time) {
 // spanAggregates emits one "X" slice per recorded span kind on the
 // synthetic latency-attribution process: ts=0, dur=the kind's p99, and the
 // full causal read-out (count, quantiles, per-stage totals and shares) in
-// args, keyed by cat="blame" so offline consumers can find them.
+// args, keyed by cat="blame" so offline consumers can find them. A kind
+// whose spans all took zero time has no time to apportion and is skipped,
+// like a kind with no spans.
 func (e *chromeEmitter) spanAggregates(spans []SpanStat) {
 	emitted := false
 	for i := range spans {
 		sp := &spans[i]
-		if sp.Count == 0 {
+		if sp.Count == 0 || sp.Total == 0 {
 			continue
 		}
 		stages, err := json.Marshal(sp.Stages)

@@ -101,14 +101,14 @@ func TestWriteChromeTraceEmpty(t *testing.T) {
 
 func TestValidateChromeTraceRejects(t *testing.T) {
 	cases := map[string]string{
-		"not json":        "][",
-		"no unit":         `{"traceEvents":[{"ph":"X","pid":0,"tid":0,"ts":1,"dur":1}]}`,
-		"no events":       `{"displayTimeUnit":"ns","traceEvents":[]}`,
-		"event sans ph":   `{"displayTimeUnit":"ns","traceEvents":[{"pid":0,"tid":0,"ts":1}]}`,
-		"X sans dur":      `{"displayTimeUnit":"ns","traceEvents":[{"ph":"X","pid":0,"tid":0,"ts":1}]}`,
-		"no X at all":     `{"displayTimeUnit":"ns","traceEvents":[{"ph":"i","pid":0,"tid":0,"ts":1}]}`,
-		"M sans pid":      `{"displayTimeUnit":"ns","traceEvents":[{"ph":"M","name":"process_name"}]}`,
-		"i sans ts":       `{"displayTimeUnit":"ns","traceEvents":[{"ph":"i","pid":0,"tid":0}]}`,
+		"not json":      "][",
+		"no unit":       `{"traceEvents":[{"ph":"X","pid":0,"tid":0,"ts":1,"dur":1}]}`,
+		"no events":     `{"displayTimeUnit":"ns","traceEvents":[]}`,
+		"event sans ph": `{"displayTimeUnit":"ns","traceEvents":[{"pid":0,"tid":0,"ts":1}]}`,
+		"X sans dur":    `{"displayTimeUnit":"ns","traceEvents":[{"ph":"X","pid":0,"tid":0,"ts":1}]}`,
+		"no X at all":   `{"displayTimeUnit":"ns","traceEvents":[{"ph":"i","pid":0,"tid":0,"ts":1}]}`,
+		"M sans pid":    `{"displayTimeUnit":"ns","traceEvents":[{"ph":"M","name":"process_name"}]}`,
+		"i sans ts":     `{"displayTimeUnit":"ns","traceEvents":[{"ph":"i","pid":0,"tid":0}]}`,
 	}
 	for name, doc := range cases {
 		if _, err := ValidateChromeTrace(strings.NewReader(doc)); err == nil {
@@ -118,8 +118,9 @@ func TestValidateChromeTraceRejects(t *testing.T) {
 }
 
 // TestWriteChromeTraceBlameEvents: span aggregates embed as one cat="blame"
-// complete event per recorded kind on the synthetic pid=-2 process, carrying
-// the full stage decomposition, and the result still validates.
+// complete event per kind with recorded time on the synthetic pid=-2
+// process, carrying the full stage decomposition, and the result still
+// validates.
 func TestWriteChromeTraceBlameEvents(t *testing.T) {
 	var buf bytes.Buffer
 	meta := ExportMeta{
@@ -133,6 +134,10 @@ func TestWriteChromeTraceBlameEvents(t *testing.T) {
 					{Name: "runq_wait", Share: 80, Total: 80 * simtime.Microsecond},
 				}},
 			{Kind: "disk_io"}, // zero count: must be skipped
+			// Spans but zero total time: nothing to apportion, must be
+			// skipped too (its shares would sum to 0%).
+			{Kind: "ipi_deliver", Count: 3,
+				Stages: []StageStat{{Name: "send"}, {Name: "inject"}}},
 		},
 	}
 	if err := WriteChromeTrace(&buf, sampleRecords(), meta); err != nil {
@@ -177,6 +182,6 @@ func TestWriteChromeTraceBlameEvents(t *testing.T) {
 		}
 	}
 	if blames != 1 {
-		t.Errorf("blame events = %d, want 1 (zero-count kinds skipped)", blames)
+		t.Errorf("blame events = %d, want 1 (zero-count and zero-time kinds skipped)", blames)
 	}
 }

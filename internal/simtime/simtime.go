@@ -389,7 +389,7 @@ func eventLess(a, b *Event) bool {
 // push appends ev and restores the heap property.
 func (h *eventHeap) push(ev *Event) {
 	*h = append(*h, ev)
-	(*h).siftUp(len(*h) - 1, ev)
+	(*h).siftUp(len(*h)-1, ev)
 }
 
 // popMin removes and returns the earliest event.

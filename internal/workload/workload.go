@@ -91,32 +91,37 @@ func Known(name string) bool {
 }
 
 // cycleProg replays iterations produced by build, bumping the app's
-// work-unit counter after each completed iteration.
+// work-unit counter after each completed iteration. build appends one
+// iteration's ops to the buffer it is given and returns the result; Next
+// hands it the previous iteration's queue truncated to length zero, so the
+// backing array is reused and a steady-state iteration allocates nothing.
+// build must not keep the buffer: the next iteration overwrites it.
 type cycleProg struct {
 	app   *App
-	build func() []guest.Op
+	build func(ops []guest.Op) []guest.Op
 	queue []guest.Op
+	qi    int // next op of queue to hand out
 	first bool
 }
 
-func newCycleProg(a *App, build func() []guest.Op) *cycleProg {
+func newCycleProg(a *App, build func(ops []guest.Op) []guest.Op) *cycleProg {
 	return &cycleProg{app: a, build: build, first: true}
 }
 
 // Next implements guest.Program.
 func (p *cycleProg) Next(now simtime.Time) guest.Op {
-	if len(p.queue) == 0 {
+	if p.qi == len(p.queue) {
 		if !p.first {
 			p.app.units++
 		}
 		p.first = false
-		p.queue = p.build()
+		p.queue, p.qi = p.build(p.queue[:0]), 0
 		if len(p.queue) == 0 {
 			return guest.Op{Kind: guest.OpExit}
 		}
 	}
-	op := p.queue[0]
-	p.queue = p.queue[1:]
+	op := p.queue[p.qi]
+	p.qi++
 	return op
 }
 
@@ -142,8 +147,8 @@ func perVCPU(a *App, r *rng.Source, name string, mk func(r *rng.Source) guest.Pr
 // utilization; pure user computation.
 func buildSwaptions(a *App, r *rng.Source) {
 	perVCPU(a, r, "swaptions", func(r *rng.Source) guest.Program {
-		return newCycleProg(a, func() []guest.Op {
-			return []guest.Op{{Kind: guest.OpCompute, Dur: exp(r, 2000*us)}}
+		return newCycleProg(a, func(ops []guest.Op) []guest.Op {
+			return append(ops, guest.Op{Kind: guest.OpCompute, Dur: exp(r, 2000*us)})
 		})
 	})
 }
@@ -151,8 +156,8 @@ func buildSwaptions(a *App, r *rng.Source) {
 // buildLookbusy: constant CPU burner used by the mixed-I/O experiments.
 func buildLookbusy(a *App, r *rng.Source) {
 	perVCPU(a, r, "lookbusy", func(r *rng.Source) guest.Program {
-		return newCycleProg(a, func() []guest.Op {
-			return []guest.Op{{Kind: guest.OpCompute, Dur: 1000 * us}}
+		return newCycleProg(a, func(ops []guest.Op) []guest.Op {
+			return append(ops, guest.Op{Kind: guest.OpCompute, Dur: 1000 * us})
 		})
 	})
 }
@@ -163,8 +168,8 @@ func buildLookbusy(a *App, r *rng.Source) {
 // kernel-bound.
 func userLevelApp(a *App, r *rng.Source, burst simtime.Duration, threads int) {
 	mk := func(r *rng.Source) guest.Program {
-		return newCycleProg(a, func() []guest.Op {
-			ops := []guest.Op{{Kind: guest.OpCompute, Dur: exp(r, burst)}}
+		return newCycleProg(a, func(ops []guest.Op) []guest.Op {
+			ops = append(ops, guest.Op{Kind: guest.OpCompute, Dur: exp(r, burst)})
 			if r.Bool(0.02) {
 				ops = append(ops, guest.Op{Kind: guest.OpKernel, Fn: "vfs_read", Dur: exp(r, 3*us)})
 			}
@@ -217,13 +222,13 @@ func buildGmake(a *App, r *rng.Source) {
 	for i := range a.Kernel.VCPUs {
 		i := i
 		r := r.Fork(uint64(i))
-		a.Kernel.NewThread(i, fmt.Sprintf("gmake-%d", i), newCycleProg(a, func() []guest.Op {
-			ops := []guest.Op{
-				{Kind: guest.OpCompute, Dur: exp(r, 55*us)},
-				{Kind: guest.OpLock, Lock: zone[r.Intn(len(zone))], Dur: exp(r, 2*us)},
-				{Kind: guest.OpCompute, Dur: exp(r, 20*us)},
-				{Kind: guest.OpLock, Lock: dentry[r.Intn(len(dentry))], Dur: exp(r, 1500)},
-			}
+		a.Kernel.NewThread(i, fmt.Sprintf("gmake-%d", i), newCycleProg(a, func(ops []guest.Op) []guest.Op {
+			ops = append(ops,
+				guest.Op{Kind: guest.OpCompute, Dur: exp(r, 55*us)},
+				guest.Op{Kind: guest.OpLock, Lock: zone[r.Intn(len(zone))], Dur: exp(r, 2*us)},
+				guest.Op{Kind: guest.OpCompute, Dur: exp(r, 20*us)},
+				guest.Op{Kind: guest.OpLock, Lock: dentry[r.Intn(len(dentry))], Dur: exp(r, 1500)},
+			)
 			// schedule()/ttwu take the local runqueue lock every cycle;
 			// cross-CPU wakeups occasionally grab a remote one. A vCPU
 			// preempted inside its own rq critical section stalls every
@@ -272,21 +277,23 @@ func buildExim(a *App, r *rng.Source) {
 	for i := range k.VCPUs {
 		i := i
 		r := r.Fork(uint64(i))
-		k.NewThread(i, fmt.Sprintf("exim-%d", i), newCycleProg(a, func() []guest.Op {
-			// One message: fork, create spool files, deliver, unlink.
+		k.NewThread(i, fmt.Sprintf("exim-%d", i), newCycleProg(a, func(ops []guest.Op) []guest.Op {
+			// One message: fork, create spool files, deliver, unlink. The
+			// runqueue draw stays ahead of the ops' draws: the rng order
+			// fixes every seeded run.
 			rq := runq[i]
 			if sib := i ^ 1; r.Bool(0.15) && sib < len(runq) {
 				rq = runq[sib]
 			}
-			ops := []guest.Op{
-				{Kind: guest.OpCompute, Dur: exp(r, 10*us)},
-				{Kind: guest.OpLock, Lock: rq, Dur: exp(r, 1200)},
-				{Kind: guest.OpLock, Lock: zone[r.Intn(2)], Dur: exp(r, 4*us)},
-				{Kind: guest.OpCompute, Dur: exp(r, 6*us)},
-				{Kind: guest.OpLock, Lock: dentry[r.Intn(len(dentry))], Dur: exp(r, 6*us)},
-				{Kind: guest.OpKernel, Fn: "do_sys_open", Dur: exp(r, 2*us)},
-				{Kind: guest.OpLock, Lock: dentry[r.Intn(len(dentry))], Dur: exp(r, 4*us)},
-			}
+			ops = append(ops,
+				guest.Op{Kind: guest.OpCompute, Dur: exp(r, 10*us)},
+				guest.Op{Kind: guest.OpLock, Lock: rq, Dur: exp(r, 1200)},
+				guest.Op{Kind: guest.OpLock, Lock: zone[r.Intn(2)], Dur: exp(r, 4*us)},
+				guest.Op{Kind: guest.OpCompute, Dur: exp(r, 6*us)},
+				guest.Op{Kind: guest.OpLock, Lock: dentry[r.Intn(len(dentry))], Dur: exp(r, 6*us)},
+				guest.Op{Kind: guest.OpKernel, Fn: "do_sys_open", Dur: exp(r, 2*us)},
+				guest.Op{Kind: guest.OpLock, Lock: dentry[r.Intn(len(dentry))], Dur: exp(r, 4*us)},
+			)
 			if r.Bool(0.3) {
 				ops = append(ops, guest.Op{Kind: guest.OpLock, Lock: reclaim, Dur: exp(r, 3*us)})
 			}
@@ -310,12 +317,12 @@ func buildPsearchy(a *App, r *rng.Source) {
 		dentry[i] = k.Lock(fmt.Sprintf("dcache%d", i), "Dentry", "__d_lookup")
 	}
 	perVCPU(a, r, "psearchy", func(r *rng.Source) guest.Program {
-		return newCycleProg(a, func() []guest.Op {
-			ops := []guest.Op{
-				{Kind: guest.OpCompute, Dur: exp(r, 150*us)},
-				{Kind: guest.OpLock, Lock: dentry[r.Intn(len(dentry))], Dur: exp(r, 1500)},
-				{Kind: guest.OpLock, Lock: zone[r.Intn(len(zone))], Dur: exp(r, 1500)},
-			}
+		return newCycleProg(a, func(ops []guest.Op) []guest.Op {
+			ops = append(ops,
+				guest.Op{Kind: guest.OpCompute, Dur: exp(r, 150*us)},
+				guest.Op{Kind: guest.OpLock, Lock: dentry[r.Intn(len(dentry))], Dur: exp(r, 1500)},
+				guest.Op{Kind: guest.OpLock, Lock: zone[r.Intn(len(zone))], Dur: exp(r, 1500)},
+			)
 			if r.Bool(0.05) {
 				ops = append(ops, guest.Op{Kind: guest.OpTLBFlush})
 			}
@@ -334,11 +341,11 @@ func buildMemclone(a *App, r *rng.Source) {
 	k := a.Kernel
 	zone := k.Lock("zone0", "Page allocator", "get_page_from_freelist")
 	perVCPU(a, r, "memclone", func(r *rng.Source) guest.Program {
-		return newCycleProg(a, func() []guest.Op {
-			return []guest.Op{
-				{Kind: guest.OpCompute, Dur: exp(r, 12*us)},
-				{Kind: guest.OpLock, Lock: zone, Dur: exp(r, 2500)},
-			}
+		return newCycleProg(a, func(ops []guest.Op) []guest.Op {
+			return append(ops,
+				guest.Op{Kind: guest.OpCompute, Dur: exp(r, 12*us)},
+				guest.Op{Kind: guest.OpLock, Lock: zone, Dur: exp(r, 2500)},
+			)
 		})
 	})
 }
@@ -355,7 +362,7 @@ func buildDedup(a *App, r *rng.Source) {
 	zone := k.Lock("zone0", "Page allocator", "get_page_from_freelist")
 	mm := k.RWSem("mmap_sem", "Runqueue", "flush_tlb_mm_range")
 	perVCPU(a, r, "dedup", func(r *rng.Source) guest.Program {
-		return newCycleProg(a, func() []guest.Op {
+		return newCycleProg(a, func(ops []guest.Op) []guest.Op {
 			// Most flushes come from glibc free() -> madvise, which takes
 			// mmap_sem for *read*: flushes run concurrently on all threads
 			// (the paper's "89% of cycles in smp_call_function_many").
@@ -364,10 +371,7 @@ func buildDedup(a *App, r *rng.Source) {
 			if r.Bool(0.15) {
 				flush.Lock = mm
 			}
-			ops := []guest.Op{
-				{Kind: guest.OpCompute, Dur: exp(r, 120*us)},
-				flush,
-			}
+			ops = append(ops, guest.Op{Kind: guest.OpCompute, Dur: exp(r, 120*us)}, flush)
 			if r.Bool(0.3) {
 				ops = append(ops, guest.Op{Kind: guest.OpLock, Lock: zone, Dur: exp(r, 2*us)})
 			}
@@ -381,8 +385,8 @@ func buildDedup(a *App, r *rng.Source) {
 func buildVips(a *App, r *rng.Source) {
 	mm := a.Kernel.RWSem("mmap_sem", "Runqueue", "flush_tlb_mm_range")
 	perVCPU(a, r, "vips", func(r *rng.Source) guest.Program {
-		return newCycleProg(a, func() []guest.Op {
-			ops := []guest.Op{{Kind: guest.OpCompute, Dur: exp(r, 300*us)}}
+		return newCycleProg(a, func(ops []guest.Op) []guest.Op {
+			ops = append(ops, guest.Op{Kind: guest.OpCompute, Dur: exp(r, 300*us)})
 			if r.Bool(0.7) {
 				flush := guest.Op{Kind: guest.OpTLBFlush}
 				if r.Bool(0.2) {
@@ -407,13 +411,12 @@ func buildFileserver(a *App, r *rng.Source) {
 		dentry[i] = k.Lock(fmt.Sprintf("dcache%d", i), "Dentry", "__d_lookup")
 	}
 	perVCPU(a, r, "fileserver", func(r *rng.Source) guest.Program {
-		return newCycleProg(a, func() []guest.Op {
-			ops := []guest.Op{
-				{Kind: guest.OpCompute, Dur: exp(r, 15*us)},
-				{Kind: guest.OpLock, Lock: dentry[r.Intn(len(dentry))], Dur: exp(r, 1500)},
-				{Kind: guest.OpDisk, Bytes: 4096 << uint(r.Intn(4)), Write: r.Bool(0.3)},
-			}
-			return ops
+		return newCycleProg(a, func(ops []guest.Op) []guest.Op {
+			return append(ops,
+				guest.Op{Kind: guest.OpCompute, Dur: exp(r, 15*us)},
+				guest.Op{Kind: guest.OpLock, Lock: dentry[r.Intn(len(dentry))], Dur: exp(r, 1500)},
+				guest.Op{Kind: guest.OpDisk, Bytes: 4096 << uint(r.Intn(4)), Write: r.Bool(0.3)},
+			)
 		})
 	})
 }

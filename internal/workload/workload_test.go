@@ -10,7 +10,7 @@ import (
 	"github.com/microslicedcore/microsliced/internal/vdisk"
 )
 
-func newVM(t *testing.T, pcpus, vcpus int) (*simtime.Clock, *hv.Hypervisor, *guest.Kernel) {
+func newVM(t testing.TB, pcpus, vcpus int) (*simtime.Clock, *hv.Hypervisor, *guest.Kernel) {
 	t.Helper()
 	clock := simtime.NewClock()
 	cfg := hv.DefaultConfig()
@@ -241,5 +241,60 @@ func TestNeedsDisk(t *testing.T) {
 	}
 	if NeedsDisk("exim") || NeedsDisk("nope") {
 		t.Fatal("spurious disk requirement")
+	}
+}
+
+// warmPrograms deploys app name into a 4-vCPU test kernel and steps every
+// thread's program through enough iterations that its op buffer has reached
+// its largest size, returning the programs.
+func warmPrograms(tb testing.TB, name string) []guest.Program {
+	tb.Helper()
+	_, _, k := newVM(tb, 4, 4)
+	if _, err := New(name, k, 42); err != nil {
+		tb.Fatalf("New(%q): %v", name, err)
+	}
+	var progs []guest.Program
+	for _, th := range k.Threads() {
+		p := th.Program()
+		for i := 0; i < 2000; i++ {
+			p.Next(0)
+		}
+		progs = append(progs, p)
+	}
+	return progs
+}
+
+// TestCycleProgNextAllocFree: once warm, every catalog application's
+// program hands out ops — including the per-iteration rebuild — without
+// allocating, because build appends into the reused queue. Each measured
+// run makes 16 Next calls, which span at least two iterations of every
+// application, so even one allocation per iteration shows as ≥ 1 per run.
+func TestCycleProgNextAllocFree(t *testing.T) {
+	for _, name := range Catalog() {
+		for i, p := range warmPrograms(t, name) {
+			n := testing.AllocsPerRun(100, func() {
+				for j := 0; j < 16; j++ {
+					p.Next(0)
+				}
+			})
+			if n != 0 {
+				t.Errorf("%s thread %d: %v allocs per 16 Next calls, want 0", name, i, n)
+			}
+		}
+	}
+}
+
+// BenchmarkCycleProgNext measures op generation per application: one Next
+// call, amortizing the iteration rebuild over the ops it yields.
+func BenchmarkCycleProgNext(b *testing.B) {
+	for _, name := range Catalog() {
+		b.Run(name, func(b *testing.B) {
+			p := warmPrograms(b, name)[0]
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.Next(0)
+			}
+		})
 	}
 }
