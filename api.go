@@ -722,10 +722,11 @@ func SimulateIPerf(proto string, mixed bool, mode Mode, staticCores int, seconds
 	if dur <= 0 {
 		dur = experiment.DefaultDuration
 	}
-	m, err := experiment.RunIO(proto, mixed, cc, dur)
+	res, err := experiment.Run(experiment.IOSetup(proto, mixed, cc, dur))
 	if err != nil {
 		return nil, err
 	}
+	m := res.VM("vm1").IPerf
 	return &IPerfResult{Mbps: m.Mbps, JitterMs: m.JitterMs, Loss: m.Loss}, nil
 }
 

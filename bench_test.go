@@ -107,15 +107,9 @@ func BenchmarkTable4b_TLBSync(b *testing.B) {
 func BenchmarkTable4c_IperfSoloVsMixed(b *testing.B) {
 	var frac float64
 	for i := 0; i < b.N; i++ {
-		solo, err := experiment.RunIO("udp", false, off(), benchDur)
-		if err != nil {
-			b.Fatal(err)
-		}
-		mixed, err := experiment.RunIO("udp", true, off(), benchDur)
-		if err != nil {
-			b.Fatal(err)
-		}
-		frac = mixed.Mbps / solo.Mbps
+		solo := mustRun(b, experiment.IOSetup("udp", false, off(), benchDur))
+		mixed := mustRun(b, experiment.IOSetup("udp", true, off(), benchDur))
+		frac = mixed.VM("vm1").IPerf.Mbps / solo.VM("vm1").IPerf.Mbps
 	}
 	b.ReportMetric(frac, "mixed/solo-throughput")
 }
@@ -207,15 +201,9 @@ func BenchmarkFigure8_Overhead(b *testing.B) {
 func BenchmarkFigure9_MixedIO(b *testing.B) {
 	var gain float64
 	for i := 0; i < b.N; i++ {
-		base, err := experiment.RunIO("tcp", true, off(), benchDur)
-		if err != nil {
-			b.Fatal(err)
-		}
-		fix, err := experiment.RunIO("tcp", true, core.StaticConfig(1), benchDur)
-		if err != nil {
-			b.Fatal(err)
-		}
-		gain = fix.Mbps / base.Mbps
+		base := mustRun(b, experiment.IOSetup("tcp", true, off(), benchDur))
+		fix := mustRun(b, experiment.IOSetup("tcp", true, core.StaticConfig(1), benchDur))
+		gain = fix.VM("vm1").IPerf.Mbps / base.VM("vm1").IPerf.Mbps
 	}
 	b.ReportMetric(gain, "usliced/baseline-tcp")
 }

@@ -6,8 +6,9 @@
 //
 //	go run ./examples/adaptive
 //
-// (This example uses the library's internal packages directly to reach the
-// trace ring; applications normally stay on the public facade.)
+// (This example uses the library's internal packages directly to sample
+// the hypervisor's counters while stepping the clock; applications
+// normally stay on the public facade.)
 package main
 
 import (
@@ -19,7 +20,6 @@ import (
 	"github.com/microslicedcore/microsliced/internal/ksym"
 	"github.com/microslicedcore/microsliced/internal/rng"
 	"github.com/microslicedcore/microsliced/internal/simtime"
-	"github.com/microslicedcore/microsliced/internal/trace"
 )
 
 // phasedProg changes behaviour with virtual time.
@@ -50,9 +50,7 @@ func (p *phasedProg) Next(now simtime.Time) guest.Op {
 
 func main() {
 	clock := simtime.NewClock()
-	cfg := hv.DefaultConfig()
-	cfg.TraceCapacity = 1 << 16
-	h := hv.New(clock, cfg)
+	h := hv.New(clock, hv.DefaultConfig())
 
 	k := guest.NewKernel(h, "phased", 12, ksym.Generate(1), guest.DefaultParams())
 	hog := guest.NewKernel(h, "swaptions", 12, ksym.Generate(2), guest.DefaultParams())
@@ -92,7 +90,7 @@ func main() {
 		lastPLE, lastIPI, lastMig = ple, ipi, mig
 	}
 
-	resizes := h.Trace.Count(trace.KindPoolResize)
+	resizes := h.Counters.Value("pool.grow") + h.Counters.Value("pool.shrink")
 	fmt.Printf("\npool resizes over the run: %d (profiling probes and epoch decisions)\n", resizes)
 	fmt.Printf("time-averaged micro cores: %.2f\n", ctrl.MicroGauge.TimeAverage(int64(clock.Now())))
 

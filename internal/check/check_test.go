@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/microslicedcore/microsliced/internal/core"
 	"github.com/microslicedcore/microsliced/internal/experiment"
 	"github.com/microslicedcore/microsliced/internal/obs"
 	"github.com/microslicedcore/microsliced/internal/simtime"
@@ -207,6 +208,37 @@ func TestInjectedRequestLeakCaught(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "requests") {
 		t.Fatalf("error does not name the request ledger: %v", err)
+	}
+}
+
+// TestIOSetupsConserve: every shape of the paper's I/O scenario (Table 4c,
+// Figure 9 and Table 1's mixed-I/O column) runs through experiment.Run
+// under the conservation laws, with the observer attached so its residency
+// and span ledgers are checked too.
+func TestIOSetupsConserve(t *testing.T) {
+	const dur = 200 * simtime.Millisecond
+	off := core.DefaultConfig()
+	off.Mode = core.ModeOff
+	vturbo := experiment.IOSetup("tcp", true, off, dur)
+	vturbo.Rival = experiment.RivalVTurbo
+	setups := []experiment.Setup{vturbo}
+	for _, proto := range []string{"udp", "tcp"} {
+		for _, mixed := range []bool{false, true} {
+			for _, cc := range []core.Config{off, core.StaticConfig(1)} {
+				setups = append(setups, experiment.IOSetup(proto, mixed, cc, dur))
+			}
+		}
+	}
+	for _, s := range setups {
+		s.PostCheck = Conservation
+		s.Obs = &obs.Config{}
+		res, err := experiment.Run(s)
+		if err != nil {
+			t.Fatalf("%s mixed=%v mode=%v rival=%q: %v", s.VMs[0].IPerf, len(s.VMs) > 1, s.Core.Mode, s.Rival, err)
+		}
+		if m := res.VM("vm1").IPerf; m == nil || m.Mbps <= 0 {
+			t.Fatalf("%s mixed=%v mode=%v rival=%q: no iPerf read-out: %+v", s.VMs[0].IPerf, len(s.VMs) > 1, s.Core.Mode, s.Rival, m)
+		}
 	}
 }
 

@@ -230,9 +230,23 @@ func TestFigure8ShapeNoOverhead(t *testing.T) {
 	}
 }
 
-func TestRunIORejectsUnknownProto(t *testing.T) {
-	if _, err := RunIO("sctp", false, offConfig(), quick); err == nil {
+func TestIOSetupRejectsUnknownProto(t *testing.T) {
+	if _, err := Run(IOSetup("sctp", false, offConfig(), quick)); err == nil {
 		t.Fatal("unknown proto accepted")
+	}
+}
+
+// TestRunRejectsServeWithIPerf: Serve and IPerf both attach the VM's NIC,
+// so with both one flow would feed a NIC the guest never polls.
+func TestRunRejectsServeWithIPerf(t *testing.T) {
+	s := IOSetup("udp", false, offConfig(), quick)
+	s.VMs[0].Serve = &ServeSpec{RatePerSec: 1000}
+	_, err := Run(s)
+	if err == nil {
+		t.Fatal("VM with both Serve and IPerf accepted")
+	}
+	if !strings.Contains(err.Error(), "vm1") {
+		t.Fatalf("error %q does not name the VM", err)
 	}
 }
 

@@ -53,6 +53,14 @@ type VMSpec struct {
 	// app's threads co-run inside the same VM, the paper's Figure 9 mixed
 	// shape. App may be empty for a pure serving VM.
 	Serve *ServeSpec
+	// IPerf attaches the paper's iPerf stream (§3.3, §6.2): a virtual NIC,
+	// socket 0 read by an iperf-server thread on vCPU 0 (built ahead of
+	// App's threads), and a 1 Gbit/s "udp" or "tcp" sender that starts
+	// once every kernel's start has been issued (at time 0: StaggerStart
+	// does not delay it). The read-out lands in VMResult.IPerf. App may be
+	// empty for a stream-only VM. Serve and IPerf both attach the VM's
+	// NIC, so a VM may have only one.
+	IPerf string
 }
 
 // DefaultServeSLO is the end-to-end latency objective when ServeSpec.SLO
@@ -148,6 +156,9 @@ type VMResult struct {
 	// Requests is the serving read-out (nil unless the VM had a Serve
 	// spec).
 	Requests *RequestStats
+	// IPerf is the iPerf stream read-out (nil unless the VM had an IPerf
+	// stream).
+	IPerf *IOMeasure
 }
 
 // RequestStats is the end-of-run read-out of a VM's serving workload. The
@@ -269,6 +280,9 @@ func Run(s Setup) (res *Result, err error) {
 		if vm.Weight < 0 {
 			return nil, fmt.Errorf("experiment: VM %s: Weight %d negative", vm.Name, vm.Weight)
 		}
+		if vm.Serve != nil && vm.IPerf != "" {
+			return nil, fmt.Errorf("experiment: VM %s: Serve and IPerf cannot share the VM's NIC", vm.Name)
+		}
 		for j, pin := range vm.Pins {
 			if pin >= s.PCPUs {
 				return nil, fmt.Errorf("experiment: VM %s: vCPU %d pinned to pCPU %d of %d", vm.Name, j, pin, s.PCPUs)
@@ -343,7 +357,7 @@ func Run(s Setup) (res *Result, err error) {
 	kernels := make([]*guest.Kernel, len(s.VMs))
 	apps := make([]*workload.App, len(s.VMs))
 	disks := make([]*vdisk.Disk, len(s.VMs))
-	rigs := make([]serveRig, len(s.VMs))
+	rigs := make([]netRig, len(s.VMs))
 	for i, vm := range s.VMs {
 		n := vm.VCPUs
 		if n == 0 {
@@ -354,8 +368,15 @@ func Run(s Setup) (res *Result, err error) {
 			disks[i] = vdisk.New(clock, 5000+vm.Seed)
 			kernels[i].AttachDisk(disks[i])
 		}
-		if vm.App == "" && vm.Serve != nil {
-			apps[i] = workload.Empty("serve", kernels[i])
+		if vm.IPerf != "" {
+			rig, ierr := buildIPerf(clock, h, kernels[i], vm.IPerf)
+			if ierr != nil {
+				return nil, fmt.Errorf("experiment: VM %s: %v", vm.Name, ierr)
+			}
+			rigs[i] = rig
+		}
+		if vm.App == "" && (vm.Serve != nil || vm.IPerf != "") {
+			apps[i] = workload.Empty(vm.Name, kernels[i])
 		} else {
 			app, aerr := workload.New(vm.App, kernels[i], vm.Seed)
 			if aerr != nil {
@@ -404,6 +425,10 @@ func Run(s Setup) (res *Result, err error) {
 	if err != nil {
 		return nil, err
 	}
+	for _, k := range kernels {
+		// A no-op unless Core.UserCS (the §4.4 extension) is set.
+		ctrl.RegisterUserRegions(k.Dom.ID, k.UserRegions())
+	}
 	if observer != nil {
 		// Flight dumps include the controller's recent decisions, so a dump
 		// shows what the sizing loop was doing when the trigger fired.
@@ -437,6 +462,9 @@ func Run(s Setup) (res *Result, err error) {
 		} else {
 			start()
 		}
+	}
+	for i := range rigs {
+		rigs[i].startIPerf()
 	}
 	clock.RunUntil(s.Duration)
 	if wdInfo != nil {
@@ -492,18 +520,21 @@ func Run(s Setup) (res *Result, err error) {
 	return res, nil
 }
 
-// serveRig bundles one VM's serving composition for start and collection.
-type serveRig struct {
+// netRig bundles one VM's network composition for start and collection:
+// the serving workload (flow and pool) or the iPerf stream (udp or tcp).
+type netRig struct {
 	nic    *vnet.NIC
+	kernel *guest.Kernel
 	flow   *vnet.RequestFlow
 	pool   *workload.ServerPool
-	kernel *guest.Kernel
+	udp    *vnet.UDPFlow
+	tcp    *vnet.TCPFlow
 }
 
 // buildServe composes a VM's serving workload: NIC, per-vCPU sockets and
 // server threads, and the open-loop arrival flow. The NIC reads its
 // domain's ID dynamically, so building before a DomRelabel is safe.
-func buildServe(clock *simtime.Clock, h *hv.Hypervisor, k *guest.Kernel, app *workload.App, sv *ServeSpec, vcpus int) (serveRig, error) {
+func buildServe(clock *simtime.Clock, h *hv.Hypervisor, k *guest.Kernel, app *workload.App, sv *ServeSpec, vcpus int) (netRig, error) {
 	nic := vnet.NewNIC(h, k.Dom, sv.RingCap)
 	k.AttachNIC(nic)
 	slo := sv.SLO
@@ -512,7 +543,7 @@ func buildServe(clock *simtime.Clock, h *hv.Hypervisor, k *guest.Kernel, app *wo
 	}
 	flow, err := vnet.NewRequestFlow(clock, nic, sv.RatePerSec, sv.ReqBytes, slo, vcpus, sv.Seed)
 	if err != nil {
-		return serveRig{}, err
+		return netRig{}, err
 	}
 	prof := workload.DefaultServeProfile()
 	if sv.Profile != nil {
@@ -520,14 +551,14 @@ func buildServe(clock *simtime.Clock, h *hv.Hypervisor, k *guest.Kernel, app *wo
 	}
 	pool, err := workload.RequestServer(app, flow, prof, sv.Seed+1)
 	if err != nil {
-		return serveRig{}, err
+		return netRig{}, err
 	}
-	return serveRig{nic: nic, flow: flow, pool: pool, kernel: k}, nil
+	return netRig{nic: nic, flow: flow, pool: pool, kernel: k}, nil
 }
 
 // requestStats builds the end-of-run serving read-out from the rig's
 // independent ledgers.
-func requestStats(rig serveRig, dur simtime.Duration) *RequestStats {
+func requestStats(rig netRig, dur simtime.Duration) *RequestStats {
 	f := rig.flow
 	st := &RequestStats{
 		Offered:         f.Offered,
@@ -559,7 +590,7 @@ func requestStats(rig serveRig, dur simtime.Duration) *RequestStats {
 	return st
 }
 
-func collect(s Setup, h *hv.Hypervisor, ctrl *core.Controller, kernels []*guest.Kernel, apps []*workload.App, rigs []serveRig) *Result {
+func collect(s Setup, h *hv.Hypervisor, ctrl *core.Controller, kernels []*guest.Kernel, apps []*workload.App, rigs []netRig) *Result {
 	res := &Result{
 		HV:         h.Counters.Snapshot(),
 		Core:       ctrl.Counters.Snapshot(),
@@ -579,13 +610,14 @@ func collect(s Setup, h *hv.Hypervisor, ctrl *core.Controller, kernels []*guest.
 			perVCPU = append(perVCPU, v.RanTotal())
 		}
 		var reqs *RequestStats
-		if rigs != nil && rigs[i].flow != nil {
+		if rigs[i].flow != nil {
 			reqs = requestStats(rigs[i], s.Duration)
 		}
 		res.VMs = append(res.VMs, VMResult{
 			Name:     s.VMs[i].Name,
 			App:      s.VMs[i].App,
 			Requests: reqs,
+			IPerf:    rigs[i].ioMeasure(),
 			Units:    apps[i].Units(),
 			Yields: YieldBreakdown{
 				IPI:   d.Counters.Value("yield.ipi"),

@@ -7,7 +7,6 @@ import (
 	"github.com/microslicedcore/microsliced/internal/core"
 	"github.com/microslicedcore/microsliced/internal/guest"
 	"github.com/microslicedcore/microsliced/internal/hv"
-	"github.com/microslicedcore/microsliced/internal/ksym"
 	"github.com/microslicedcore/microsliced/internal/report"
 	"github.com/microslicedcore/microsliced/internal/simtime"
 	"github.com/microslicedcore/microsliced/internal/vnet"
@@ -35,90 +34,65 @@ type IOMeasure struct {
 	Loss     float64
 }
 
-// RunIO builds the paper's I/O scenario: VM-1 hosts the iPerf server
-// (optionally mixed with a lookbusy thread on the same vCPU), VM-2 hosts
-// lookbusy, and in the mixed configuration both vCPUs are pinned to the
-// same pCPU (Figure 9b).
-func RunIO(proto string, mixed bool, cc core.Config, dur simtime.Duration) (*IOMeasure, error) {
-	return RunIORival(proto, mixed, cc, RivalNone, dur)
+// IOSetup builds the paper's I/O scenario on a 2-pCPU host: VM vm1 hosts
+// the iPerf server (proto "udp" or "tcp"); when mixed, a lookbusy thread
+// shares vm1's vCPU and a lookbusy VM vm2 shares its pCPU, both vCPUs
+// pinned to pCPU 0 (Figure 9b). The read-out is VM("vm1").IPerf.
+func IOSetup(proto string, mixed bool, cc core.Config, dur simtime.Duration) Setup {
+	s := Setup{
+		PCPUs:    2,
+		VMs:      []VMSpec{{Name: "vm1", VCPUs: 1, IPerf: proto}},
+		Core:     cc,
+		Duration: dur,
+	}
+	if mixed {
+		s.VMs[0].App, s.VMs[0].Pins = "lookbusy", []int{0}
+		s.VMs = append(s.VMs, VMSpec{Name: "vm2", App: "lookbusy", VCPUs: 1, Seed: 9, Pins: []int{0}})
+	}
+	return s
 }
 
-// RunIORival is RunIO with a prior-work system installed instead of (or in
-// addition to) the paper's mechanism.
-func RunIORival(proto string, mixed bool, cc core.Config, rival Rival, dur simtime.Duration) (*IOMeasure, error) {
-	clock := simtime.NewClock()
-	cfg := hv.DefaultConfig()
-	cfg.PCPUs = 2
-	h := hv.New(clock, cfg)
-
-	k := guest.NewKernel(h, "vm1", 1, ksym.Generate(5), guest.DefaultParams())
+// buildIPerf composes a VM's iPerf stream: NIC, socket 0 read by an
+// iperf-server thread on vCPU 0, and the paced sender, not yet started.
+func buildIPerf(clock *simtime.Clock, h *hv.Hypervisor, k *guest.Kernel, proto string) (netRig, error) {
+	if proto != "udp" && proto != "tcp" {
+		return netRig{}, fmt.Errorf("unknown iPerf protocol %q", proto)
+	}
 	nic := vnet.NewNIC(h, k.Dom, ioRingCap)
 	k.AttachNIC(nic)
 	sock := k.NewSocket(0)
-	app := workload.Empty("iperf", k)
-	workload.IperfServer(app, 0, sock)
+	workload.IperfServer(workload.Empty("iperf", k), 0, sock)
+	rig := netRig{nic: nic, kernel: k}
+	var err error
+	if proto == "udp" {
+		if rig.udp, err = vnet.NewUDPFlow(clock, nic, 0, ioUDPBytes, ioLinkBps); err == nil {
+			rig.udp.Attach(sock)
+		}
+	} else if rig.tcp, err = vnet.NewTCPFlow(clock, nic, 0, ioTCPBytes, ioTCPWindow, ioLinkBps, ioWireDelay); err == nil {
+		rig.tcp.Attach(sock)
+	}
+	return rig, err
+}
 
-	var hog *guest.Kernel
-	if mixed {
-		workload.LookbusyThread(app, 0)
-		hog = guest.NewKernel(h, "vm2", 1, ksym.Generate(6), guest.DefaultParams())
-		if _, err := workload.New("lookbusy", hog, 9); err != nil {
-			return nil, err
-		}
-		k.VCPUs[0].HV().Pin(0)
-		hog.VCPUs[0].HV().Pin(0)
+// startIPerf starts the rig's iPerf sender, if it has one.
+func (r *netRig) startIPerf() {
+	if r.udp != nil {
+		r.udp.Start()
 	}
+	if r.tcp != nil {
+		r.tcp.Start()
+	}
+}
 
-	ctrl, err := core.Attach(h, cc)
-	if err != nil {
-		return nil, err
+// ioMeasure reads out the rig's iPerf stream (nil without one).
+func (r *netRig) ioMeasure() *IOMeasure {
+	switch {
+	case r.udp != nil:
+		return &IOMeasure{Proto: "udp", Mbps: r.udp.GoodputBps() / 1e6, JitterMs: r.udp.Jitter.PeakMillis(), Loss: r.udp.LossRate()}
+	case r.tcp != nil:
+		return &IOMeasure{Proto: "tcp", Mbps: r.tcp.GoodputBps() / 1e6, JitterMs: r.tcp.Jitter.PeakMillis()}
 	}
-	var rivalStart func()
-	if rival != RivalNone {
-		rivalStart, err = attachRival(h, rival)
-		if err != nil {
-			return nil, err
-		}
-	}
-	h.Start()
-	ctrl.Start()
-	if rivalStart != nil {
-		rivalStart()
-	}
-	k.StartAll()
-	if hog != nil {
-		hog.StartAll()
-	}
-
-	out := &IOMeasure{Proto: proto}
-	switch proto {
-	case "udp":
-		flow, err := vnet.NewUDPFlow(clock, nic, 0, ioUDPBytes, ioLinkBps)
-		if err != nil {
-			return nil, err
-		}
-		flow.Attach(sock)
-		flow.Start()
-		clock.RunUntil(dur)
-		flow.Stop()
-		out.Mbps = flow.GoodputBps() / 1e6
-		out.JitterMs = flow.Jitter.PeakMillis()
-		out.Loss = flow.LossRate()
-	case "tcp":
-		flow, err := vnet.NewTCPFlow(clock, nic, 0, ioTCPBytes, ioTCPWindow, ioLinkBps, ioWireDelay)
-		if err != nil {
-			return nil, err
-		}
-		flow.Attach(sock)
-		flow.Start()
-		clock.RunUntil(dur)
-		flow.Stop()
-		out.Mbps = flow.GoodputBps() / 1e6
-		out.JitterMs = flow.Jitter.PeakMillis()
-	default:
-		return nil, fmt.Errorf("experiment: unknown protocol %q", proto)
-	}
-	return out, nil
+	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -134,23 +108,14 @@ type Table4cResult struct {
 // Table4c measures iPerf (UDP) jitter and throughput solo vs mixed co-run
 // on the vanilla hypervisor.
 func Table4c(dur simtime.Duration) (*Table4cResult, error) {
-	out := &Table4cResult{}
-	err := parallelDo(2, func(i int) error {
-		m, err := RunIO("udp", i == 1, offConfig(), dur)
-		if err != nil {
-			return err
-		}
-		if i == 0 {
-			out.Solo = *m
-		} else {
-			out.Mixed = *m
-		}
-		return nil
+	res, err := RunAll([]Setup{
+		IOSetup("udp", false, offConfig(), dur),
+		IOSetup("udp", true, offConfig(), dur),
 	})
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return &Table4cResult{Solo: *res[0].VM("vm1").IPerf, Mixed: *res[1].VM("vm1").IPerf}, nil
 }
 
 // Render implements report.Renderer.
@@ -183,29 +148,17 @@ type Figure9Result struct {
 // the other one) with I/O acceleration enabled.
 func Figure9(dur simtime.Duration) (*Figure9Result, error) {
 	micro := core.StaticConfig(1)
-	out := &Figure9Result{}
-	grid := []struct {
-		dst   *IOMeasure
-		proto string
-		cc    core.Config
-	}{
-		{&out.BaselineTCP, "tcp", offConfig()},
-		{&out.BaselineUDP, "udp", offConfig()},
-		{&out.MicroTCP, "tcp", micro},
-		{&out.MicroUDP, "udp", micro},
-	}
-	err := parallelDo(len(grid), func(i int) error {
-		m, err := RunIO(grid[i].proto, true, grid[i].cc, dur)
-		if err != nil {
-			return err
-		}
-		*grid[i].dst = *m
-		return nil
+	res, err := RunAll([]Setup{
+		IOSetup("tcp", true, offConfig(), dur),
+		IOSetup("udp", true, offConfig(), dur),
+		IOSetup("tcp", true, micro, dur),
+		IOSetup("udp", true, micro, dur),
 	})
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	m := func(i int) IOMeasure { return *res[i].VM("vm1").IPerf }
+	return &Figure9Result{BaselineTCP: m(0), BaselineUDP: m(1), MicroTCP: m(2), MicroUDP: m(3)}, nil
 }
 
 // Render implements report.Renderer.

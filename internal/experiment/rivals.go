@@ -64,88 +64,39 @@ type Table1Result struct {
 	Rows []Table1Row
 }
 
-// runRivalCorun runs a co-run scenario under a rival system.
-func runRivalCorun(app string, r Rival, dur simtime.Duration) (*Result, error) {
-	s := corunSetup(app, offConfig(), dur)
-	s.Rival = r
-	if r == RivalFixed {
-		cfg := rivals.ShortSliceConfig(100 * simtime.Microsecond)
-		s.HVConfig = &cfg
-	}
-	return Run(s)
-}
-
 // Table1 measures baseline, the three implemented rivals, and the paper's
 // mechanism (static best and dynamic) on the lock, TLB and mixed-I/O
 // symptom scenarios.
 func Table1(dur simtime.Duration) (*Table1Result, error) {
-	type sysCfg struct {
-		name  string
-		rival Rival
-		cc    *core.Config
-	}
-	static := core.StaticConfig(1)
-	staticTLB := core.StaticConfig(3)
-	dynamic := core.DefaultConfig()
-	systems := []sysCfg{
-		{"baseline", RivalNone, nil},
-		{"cosched", RivalCoSched, nil},
-		{"fixed-usliced", RivalFixed, nil},
-		{"vturbo", RivalVTurbo, nil},
-		{"vtrs", RivalVTRS, nil},
-		{"usliced-static", RivalNone, &static},
-		{"usliced-dynamic", RivalNone, &dynamic},
+	off, dynamic := offConfig(), core.DefaultConfig()
+	// lock also configures the mixed-I/O scenario; the static mechanism
+	// runs its best pool size for each symptom.
+	systems := []struct {
+		name      string
+		rival     Rival
+		lock, tlb core.Config
+	}{
+		{"baseline", RivalNone, off, off},
+		{"cosched", RivalCoSched, off, off},
+		{"fixed-usliced", RivalFixed, off, off},
+		{"vturbo", RivalVTurbo, off, off},
+		{"vtrs", RivalVTRS, off, off},
+		{"usliced-static", RivalNone, core.StaticConfig(1), core.StaticConfig(3)},
+		{"usliced-dynamic", RivalNone, dynamic, dynamic},
 	}
 
 	// Each system contributes three independent measurements (lock, TLB,
-	// mixed I/O). Run the whole (system x scenario) grid on the worker pool
-	// and assemble the baseline-normalized rows serially afterwards.
-	runOne := func(sys sysCfg, app string, tlb bool) (*Result, error) {
-		if sys.rival != RivalNone {
-			return runRivalCorun(app, sys.rival, dur)
-		}
-		cc := offConfig()
-		if sys.cc != nil {
-			cc = *sys.cc
-			if tlb && sys.name == "usliced-static" {
-				cc = staticTLB
-			}
-		}
-		return Run(corunSetup(app, cc, dur))
+	// mixed I/O). Run the whole (system x scenario) grid at once and
+	// assemble the baseline-normalized rows afterwards.
+	setups := make([]Setup, 0, 3*len(systems))
+	for _, sys := range systems {
+		lock := corunSetup("exim", sys.lock, dur)
+		tlb := corunSetup("dedup", sys.tlb, dur)
+		mixedIO := IOSetup("tcp", true, sys.lock, dur)
+		lock.Rival, tlb.Rival, mixedIO.Rival = sys.rival, sys.rival, sys.rival
+		setups = append(setups, lock, tlb, mixedIO)
 	}
-	type t1cell struct {
-		lock *Result
-		tlb  *Result
-		io   *IOMeasure
-	}
-	cells := make([]t1cell, len(systems))
-	err := parallelDo(3*len(systems), func(idx int) error {
-		sys := systems[idx/3]
-		cell := &cells[idx/3]
-		switch idx % 3 {
-		case 0:
-			r, err := runOne(sys, "exim", false)
-			cell.lock = r
-			return err
-		case 1:
-			r, err := runOne(sys, "dedup", true)
-			cell.tlb = r
-			return err
-		default:
-			var ioCC core.Config
-			switch {
-			case sys.rival != RivalNone:
-				ioCC = offConfig() // rival installed by RunIORival itself
-			case sys.cc != nil:
-				ioCC = *sys.cc
-			default:
-				ioCC = offConfig()
-			}
-			m, err := RunIORival("tcp", true, ioCC, sys.rival, dur)
-			cell.io = m
-			return err
-		}
-	})
+	res, err := RunAll(setups)
 	if err != nil {
 		return nil, err
 	}
@@ -153,18 +104,19 @@ func Table1(dur simtime.Duration) (*Table1Result, error) {
 	out := &Table1Result{}
 	var baseLock, baseTLB, baseCo, baseIO float64
 	for i, sys := range systems {
-		cell := cells[i]
-		lockUnits := float64(cell.lock.VM("exim").Units)
-		tlbUnits := float64(cell.tlb.VM("dedup").Units)
-		coUnits := float64(cell.lock.VM("swaptions").Units)
-		if sys.name == "baseline" {
-			baseLock, baseTLB, baseCo, baseIO = lockUnits, tlbUnits, coUnits, cell.io.Mbps
+		lock, tlb, mixedIO := res[3*i], res[3*i+1], res[3*i+2]
+		lockUnits := float64(lock.VM("exim").Units)
+		tlbUnits := float64(tlb.VM("dedup").Units)
+		coUnits := float64(lock.VM("swaptions").Units)
+		ioMbps := mixedIO.VM("vm1").IPerf.Mbps
+		if i == 0 {
+			baseLock, baseTLB, baseCo, baseIO = lockUnits, tlbUnits, coUnits, ioMbps
 		}
 		out.Rows = append(out.Rows, Table1Row{
 			System:       sys.name,
 			LockGain:     lockUnits / baseLock,
 			TLBGain:      tlbUnits / baseTLB,
-			MixedIOGain:  cell.io.Mbps / baseIO,
+			MixedIOGain:  ioMbps / baseIO,
 			CoRunnerCost: baseCo / coUnits,
 		})
 	}

@@ -51,63 +51,23 @@ func SetSetupHook(fn func(*Setup)) {
 	setupHook.Store(&fn)
 }
 
-// parallelDo invokes f(0), ..., f(n-1) on a bounded worker pool and waits
-// for all of them. With one effective worker it degenerates to an in-order
-// serial loop with fail-fast. Otherwise indices are handed out through an
-// atomic counter; on failure the error with the lowest index wins (every
-// index below the current error still runs, so the returned error is
-// deterministic regardless of goroutine interleaving) and higher indices
-// are skipped.
-func parallelDo(n int, f func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	workers := Parallelism()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := f(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+// parallelDo invokes f(0), ..., f(n-1) on a bounded worker pool, handing
+// indices out through an atomic counter, and waits for all of them.
+func parallelDo(n int, f func(i int)) {
 	var (
-		next     atomic.Int64
-		mu       sync.Mutex
-		firstErr error
-		errIdx   = n
-		wg       sync.WaitGroup
+		next atomic.Int64
+		wg   sync.WaitGroup
 	)
-	for w := 0; w < workers; w++ {
+	for w := min(Parallelism(), n); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				mu.Lock()
-				skip := firstErr != nil && i > errIdx
-				mu.Unlock()
-				if skip {
-					continue
-				}
-				if err := f(i); err != nil {
-					mu.Lock()
-					if i < errIdx {
-						firstErr, errIdx = err, i
-					}
-					mu.Unlock()
-				}
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				f(i)
 			}
 		}()
 	}
 	wg.Wait()
-	return firstErr
 }
 
 // JobResult is one Setup's settled outcome: exactly one of Result and Err
@@ -123,10 +83,9 @@ type JobResult struct {
 // completing. Results are order-preserving.
 func RunAllSettled(setups []Setup) []JobResult {
 	out := make([]JobResult, len(setups))
-	parallelDo(len(setups), func(i int) error {
+	parallelDo(len(setups), func(i int) {
 		r, err := Run(setups[i])
 		out[i] = JobResult{Result: r, Err: err}
-		return nil // errors are settled per job, never propagated
 	})
 	return out
 }

@@ -98,35 +98,11 @@ func TestParallelDoCoversAllIndicesOnce(t *testing.T) {
 	var hits [n]atomic.Int64
 	SetParallelism(8)
 	defer SetParallelism(0)
-	if err := parallelDo(n, func(i int) error {
-		hits[i].Add(1)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+	parallelDo(n, func(i int) { hits[i].Add(1) })
 	for i := range hits {
 		if got := hits[i].Load(); got != 1 {
 			t.Fatalf("index %d ran %d times", i, got)
 		}
-	}
-}
-
-func TestParallelDoSerialFailFast(t *testing.T) {
-	SetParallelism(1)
-	defer SetParallelism(0)
-	ran := 0
-	err := parallelDo(10, func(i int) error {
-		ran++
-		if i == 3 {
-			return fmt.Errorf("boom at %d", i)
-		}
-		return nil
-	})
-	if err == nil || err.Error() != "boom at 3" {
-		t.Fatalf("err=%v", err)
-	}
-	if ran != 4 {
-		t.Fatalf("serial mode ran %d tasks after failure, want 4", ran)
 	}
 }
 

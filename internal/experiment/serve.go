@@ -116,24 +116,27 @@ func ServeSweep(dur simtime.Duration) (*ServeSweepResult, error) {
 		cfg, rate int
 		corun     string
 	}
-	var cells []cell
+	var (
+		cells  []cell
+		setups []Setup
+	)
 	for _, corun := range ServeCoruns {
 		for ci := range serveConfigs {
 			for _, r := range ServeRates {
 				cells = append(cells, cell{cfg: ci, rate: r, corun: corun})
+				setups = append(setups, serveSetup(ci, r, corun, dur))
 			}
 		}
 	}
+	res, err := RunAll(setups)
+	if err != nil {
+		return nil, err
+	}
 	out.Rows = make([]ServeMeasure, len(cells))
-	err := parallelDo(len(cells), func(i int) error {
-		c := cells[i]
-		res, err := Run(serveSetup(c.cfg, c.rate, c.corun, dur))
-		if err != nil {
-			return err
-		}
-		st := res.VM("serve").Requests
+	for i, c := range cells {
+		st := res[i].VM("serve").Requests
 		if st == nil {
-			return fmt.Errorf("experiment: serve cell %s/%s/%d: no request stats", serveConfigs[c.cfg].name, c.corun, c.rate)
+			return nil, fmt.Errorf("experiment: serve cell %s/%s/%d: no request stats", serveConfigs[c.cfg].name, c.corun, c.rate)
 		}
 		out.Rows[i] = ServeMeasure{
 			Config: serveConfigs[c.cfg].name,
@@ -141,10 +144,6 @@ func ServeSweep(dur simtime.Duration) (*ServeSweepResult, error) {
 			Rate:   c.rate,
 			Stats:  st,
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	for i := range out.Rows {
 		m := &out.Rows[i]

@@ -55,7 +55,7 @@ func TestServeSweepShape(t *testing.T) {
 }
 
 // TestServeCellDeterministic: one serving cell, run twice, must agree on
-// every request statistic (the sweep itself runs cells via parallelDo, so
+// every request statistic (the sweep itself runs cells via RunAll, so
 // this is the per-cell half of the bit-identical guarantee).
 func TestServeCellDeterministic(t *testing.T) {
 	run := func() RequestStats {

@@ -45,10 +45,8 @@ type FixedMicroSliced struct {
 	Slice simtime.Duration
 }
 
-// NewFixedMicroSliced prepares the global short-slice configuration.
-// Because the slice is a pool property, callers construct the hypervisor
-// with hv.Config.NormalSlice set via ShortSliceConfig; this wrapper exists
-// so the comparison harness treats all systems uniformly.
+// NewFixedMicroSliced prepares the global short-slice configuration; Start
+// applies it to every vCPU as a slice override.
 func NewFixedMicroSliced(h *hv.Hypervisor, slice simtime.Duration) *FixedMicroSliced {
 	if slice <= 0 {
 		slice = 100 * simtime.Microsecond
@@ -56,22 +54,10 @@ func NewFixedMicroSliced(h *hv.Hypervisor, slice simtime.Duration) *FixedMicroSl
 	return &FixedMicroSliced{h: h, Slice: slice}
 }
 
-// ShortSliceConfig returns the hypervisor configuration for the global
-// short quantum.
-func ShortSliceConfig(slice simtime.Duration) hv.Config {
-	cfg := hv.DefaultConfig()
-	if slice <= 0 {
-		slice = 100 * simtime.Microsecond
-	}
-	cfg.NormalSlice = slice
-	return cfg
-}
-
 // Name implements System.
 func (f *FixedMicroSliced) Name() string { return "fixed-usliced" }
 
-// Start implements System: every vCPU gets the short quantum (covers
-// hypervisors constructed without ShortSliceConfig).
+// Start implements System: every vCPU gets the short quantum.
 func (f *FixedMicroSliced) Start() {
 	for _, v := range f.h.VCPUs() {
 		v.SetSliceOverride(f.Slice)

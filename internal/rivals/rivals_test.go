@@ -62,17 +62,6 @@ func TestFixedMicroSlicedOverridesEverySlice(t *testing.T) {
 	}
 }
 
-func TestShortSliceConfig(t *testing.T) {
-	cfg := ShortSliceConfig(0)
-	if cfg.NormalSlice != 100*simtime.Microsecond {
-		t.Fatalf("slice %v", cfg.NormalSlice)
-	}
-	cfg = ShortSliceConfig(simtime.Millisecond)
-	if cfg.NormalSlice != simtime.Millisecond {
-		t.Fatalf("slice %v", cfg.NormalSlice)
-	}
-}
-
 func TestVTurboReservesCoreAndSteersIRQRecipients(t *testing.T) {
 	clock, h := host(t, 2)
 	k := deploy(t, h, "io", "lookbusy", 1, 1) // runnable mixed-style vCPU

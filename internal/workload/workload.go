@@ -2,15 +2,17 @@
 // programs: PARSEC (swaptions, dedup, vips, blackscholes, bodytrack,
 // streamcluster, raytrace), MOSBENCH (exim, gmake, psearchy), the memclone
 // microbenchmark, SPECCPU-style single-threaded applications (perlbench,
-// sjeng, bzip2), and the iPerf/lookbusy pair of the I/O experiments.
+// sjeng, bzip2), the iPerf/lookbusy pair of the I/O experiments, and the
+// user-lock-bound game server plus its hog co-runner of the §4.4 extension.
 //
 // Each application is characterised — following §3 and §6.1 of the paper —
 // by its dominant kernel interaction: pure user computation (swaptions,
 // SPEC), spinlock-protected kernel service churn (gmake, exim, memclone),
 // TLB-shootdown storms from mmap/munmap (dedup, vips), a mix with
-// reader-writer semaphores and idling (psearchy), or network receive
-// (iperf). Durations are drawn from seeded exponential distributions so
-// runs are reproducible and co-runner phases drift naturally.
+// reader-writer semaphores and idling (psearchy), network receive
+// (iperf), or user-space spinlocks (gameserver). Durations are drawn from
+// seeded exponential distributions so runs are reproducible and co-runner
+// phases drift naturally.
 package workload
 
 import (
@@ -60,6 +62,8 @@ var registry = map[string]builder{
 	"sjeng":         buildSjeng,
 	"bzip2":         buildBzip2,
 	"fileserver":    buildFileserver,
+	"gameserver":    buildGameserver,
+	"hog":           buildHog,
 }
 
 // Catalog returns the available application names, sorted.
@@ -419,6 +423,45 @@ func buildFileserver(a *App, r *rng.Source) {
 			)
 		})
 	})
+}
+
+// ---------------------------------------------------------------------------
+// User-level critical sections (paper §4.4 extension)
+// ---------------------------------------------------------------------------
+
+// buildGameserver: a latency-critical game server whose contention is
+// entirely in user-space spinlocks over three world shards — invisible to
+// the kernel symbol whitelist unless the app registers its critical
+// regions. Every op is one work unit.
+func buildGameserver(a *App, r *rng.Source) {
+	k := a.Kernel
+	locks := make([]*guest.SpinLock, 3)
+	for i := range locks {
+		locks[i] = k.UserLock(fmt.Sprintf("world-shard-%d", i), "User")
+	}
+	for i := range k.VCPUs {
+		tr, lock := r.Fork(uint64(i)), locks[i%len(locks)]
+		k.NewThread(i, fmt.Sprintf("game-%d", i), newCycleProg(a, func(ops []guest.Op) []guest.Op {
+			if tr.Bool(0.5) {
+				return append(ops, guest.Op{Kind: guest.OpCompute, Dur: exp(tr, 12*us)})
+			}
+			return append(ops, guest.Op{Kind: guest.OpLock, Lock: lock, Dur: exp(tr, 2*us)})
+		}))
+	}
+}
+
+// buildHog: the extension's co-runner — multi-millisecond CPU bursts
+// (4-11ms depending on the vCPU) with occasional short sleeps.
+func buildHog(a *App, r *rng.Source) {
+	for i := range a.Kernel.VCPUs {
+		hr, burst := r.Fork(1000+uint64(i)), simtime.Duration(4+i%8)*simtime.Millisecond
+		a.Kernel.NewThread(i, "hog", newCycleProg(a, func(ops []guest.Op) []guest.Op {
+			if hr.Bool(0.12) {
+				return append(ops, guest.Op{Kind: guest.OpSleep, Dur: 200 * us})
+			}
+			return append(ops, guest.Op{Kind: guest.OpCompute, Dur: burst})
+		}))
+	}
 }
 
 // ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ func newVM(t testing.TB, pcpus, vcpus int) (*simtime.Clock, *hv.Hypervisor, *gue
 func TestCatalogComplete(t *testing.T) {
 	want := []string{
 		"blackscholes", "bodytrack", "bzip2", "dedup", "exim", "fileserver",
-		"gmake", "lookbusy", "memclone", "perlbench", "psearchy", "raytrace",
-		"sjeng", "streamcluster", "swaptions", "vips",
+		"gameserver", "gmake", "hog", "lookbusy", "memclone", "perlbench",
+		"psearchy", "raytrace", "sjeng", "streamcluster", "swaptions", "vips",
 	}
 	got := Catalog()
 	if len(got) != len(want) {
