@@ -1,8 +1,11 @@
 package microsliced
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"math"
+	"strings"
 
 	"github.com/microslicedcore/microsliced/internal/core"
 	"github.com/microslicedcore/microsliced/internal/experiment"
@@ -26,24 +29,12 @@ const (
 	Dynamic Mode = "dynamic"
 )
 
-// coreConfig maps the mode (empty means Off) to the controller's
-// configuration.
-func (m Mode) coreConfig(staticCores int) (core.Config, error) {
-	if m == "" {
-		m = Off
-	}
-	cc, err := core.ModeConfig(string(m), staticCores)
-	if err != nil {
-		return cc, fmt.Errorf("microsliced: unknown mode %q", m)
-	}
-	return cc, nil
-}
-
 // VM describes one virtual machine of a scenario.
 type VM struct {
 	// Name identifies the VM in the results (defaults to the App name).
 	Name string
-	// App is a workload from Workloads().
+	// App is a workload from Workloads(); a VM with Serve may leave it
+	// empty to serve requests alone.
 	App string
 	// VCPUs defaults to 12 (the paper's configuration).
 	VCPUs int
@@ -90,7 +81,8 @@ type Scenario struct {
 	VMs []VM
 	// Mode selects the micro-sliced mechanism (defaults to Off).
 	Mode Mode
-	// StaticCores sizes the micro pool when Mode == Static.
+	// StaticCores sizes the micro pool when Mode == Static; under any Mode
+	// it must lie in [0, PCPUs].
 	StaticCores int
 	// Seconds of virtual time to simulate (defaults to 3).
 	Seconds float64
@@ -170,24 +162,6 @@ type FaultPlan struct {
 	QuiesceAtMs float64
 }
 
-func (f *FaultPlan) toConfig() fault.Config {
-	return fault.Config{
-		Seed:                  f.Seed,
-		OfflinePCPUs:          f.OfflinePCPUs,
-		PermanentOfflinePCPUs: f.PermanentOfflinePCPUs,
-		IPIDelayProb:          f.IPIDelayProb,
-		IPIDelayMax:           simtime.Duration(f.IPIDelayMaxUs * float64(simtime.Microsecond)),
-		IPIDropProb:           f.IPIDropProb,
-		LoseIPIs:              f.LoseIPIs,
-		TickJitter:            simtime.Duration(f.TickJitterUs * float64(simtime.Microsecond)),
-		LockStallProb:         f.LockStallProb,
-		LockStallFactor:       f.LockStallFactor,
-		Storms:                f.Storms,
-		StormLen:              simtime.Duration(f.StormLenMs * float64(simtime.Millisecond)),
-		QuiesceAt:             simtime.Duration(f.QuiesceAtMs * float64(simtime.Millisecond)),
-	}
-}
-
 // RecoveryPlan arms the self-healing supervisor: a periodic deterministic
 // detector for starved vCPUs, lost IPIs and capacity loss, with escalating
 // bounded repairs (credit re-grant, unpin/re-home, forced dispatch, IPI
@@ -210,118 +184,45 @@ func (e *ScenarioError) Error() string {
 	return fmt.Sprintf("microsliced: invalid scenario: %s: %s", e.Field, e.Reason)
 }
 
-// rivalNames are the accepted Scenario.Rival values.
-var rivalNames = map[string]bool{
-	"fixed-usliced": true, "vturbo": true, "vtrs": true, "cosched": true,
+// durations converts float durations to simtime, keeping the first that is
+// NaN, infinite or past math.MaxInt64 ns as a *ScenarioError on its field.
+type durations struct{ err error }
+
+func (d *durations) of(field string, v float64, unit simtime.Duration) simtime.Duration {
+	// Floor truncates positive values like a plain conversion and keeps
+	// negative ones negative, for Setup.Validate to reject.
+	ns := math.Floor(v * float64(unit))
+	if !(math.Abs(ns) < math.MaxInt64) && d.err == nil { // NaN fails every comparison
+		d.err = &ScenarioError{Field: field, Reason: fmt.Sprintf("%v is not a finite duration within ±2^63 ns", v)}
+	}
+	return simtime.Duration(ns)
+}
+
+// setupFields renames the experiment.Setup field paths that differ from the
+// Scenario fields they are lowered from.
+var setupFields = strings.NewReplacer("Duration", "Seconds", ".Serve.SLO", ".Serve.SLOMs",
+	"Core.StaticCores", "StaticCores", "Faults.QuiesceAt", "Faults.QuiesceAtMs",
+	"Recovery.Interval", "Recovery.IntervalMs", "Recovery.StarveBound", "Recovery.StarveBoundMs")
+
+// scenarioError wraps an *experiment.SetupError as a *ScenarioError on the
+// Scenario field; other errors pass through.
+func scenarioError(err error) error {
+	var se *experiment.SetupError
+	if !errors.As(err, &se) {
+		return err
+	}
+	return &ScenarioError{Field: setupFields.Replace(se.Field), Reason: se.Reason}
 }
 
 // Validate checks the scenario without running it, returning a
-// *ScenarioError describing the first problem found (nil if valid).
+// *ScenarioError describing the first problem found (nil if valid). The
+// rules are experiment.Setup.Validate's, applied to the Setup Simulate runs.
 func (s Scenario) Validate() error {
-	if len(s.VMs) == 0 {
-		return &ScenarioError{Field: "VMs", Reason: "scenario has no VMs"}
+	setup, err := s.setup()
+	if err != nil {
+		return err
 	}
-	if s.PCPUs < 0 {
-		return &ScenarioError{Field: "PCPUs", Reason: fmt.Sprintf("%d is negative", s.PCPUs)}
-	}
-	if s.Seconds < 0 {
-		return &ScenarioError{Field: "Seconds", Reason: fmt.Sprintf("%v is negative", s.Seconds)}
-	}
-	pcpus := s.PCPUs
-	if pcpus == 0 {
-		pcpus = experiment.DefaultPCPUs
-	}
-	for i, vm := range s.VMs {
-		if vm.VCPUs < 0 {
-			return &ScenarioError{
-				Field:  fmt.Sprintf("VMs[%d].VCPUs", i),
-				Reason: fmt.Sprintf("%d is negative (0 selects the default)", vm.VCPUs),
-			}
-		}
-		if !workload.Known(vm.App) {
-			return &ScenarioError{
-				Field:  fmt.Sprintf("VMs[%d].App", i),
-				Reason: fmt.Sprintf("unknown application %q (have %v)", vm.App, workload.Catalog()),
-			}
-		}
-		for j, pin := range vm.Pins {
-			if pin >= pcpus {
-				return &ScenarioError{
-					Field:  fmt.Sprintf("VMs[%d].Pins[%d]", i, j),
-					Reason: fmt.Sprintf("pCPU %d does not exist (host has %d)", pin, pcpus),
-				}
-			}
-		}
-		if sv := vm.Serve; sv != nil {
-			if sv.RatePerSec <= 0 {
-				return &ScenarioError{
-					Field:  fmt.Sprintf("VMs[%d].Serve.RatePerSec", i),
-					Reason: fmt.Sprintf("%d must be positive", sv.RatePerSec),
-				}
-			}
-			if sv.SLOMs < 0 {
-				return &ScenarioError{
-					Field:  fmt.Sprintf("VMs[%d].Serve.SLOMs", i),
-					Reason: fmt.Sprintf("%v is negative", sv.SLOMs),
-				}
-			}
-			if sv.ReqBytes < 0 {
-				return &ScenarioError{
-					Field:  fmt.Sprintf("VMs[%d].Serve.ReqBytes", i),
-					Reason: fmt.Sprintf("%d is negative", sv.ReqBytes),
-				}
-			}
-			if sv.RingCap < 0 {
-				return &ScenarioError{
-					Field:  fmt.Sprintf("VMs[%d].Serve.RingCap", i),
-					Reason: fmt.Sprintf("%d is negative", sv.RingCap),
-				}
-			}
-		}
-	}
-	if _, err := s.Mode.coreConfig(s.StaticCores); err != nil {
-		return &ScenarioError{Field: "Mode", Reason: fmt.Sprintf("unknown mode %q", s.Mode)}
-	}
-	if s.StaticCores < 0 {
-		return &ScenarioError{Field: "StaticCores", Reason: fmt.Sprintf("%d is negative", s.StaticCores)}
-	}
-	if s.StaticCores > pcpus {
-		return &ScenarioError{
-			Field:  "StaticCores",
-			Reason: fmt.Sprintf("%d exceeds the host's %d pCPUs", s.StaticCores, pcpus),
-		}
-	}
-	if s.Rival != "" {
-		if !rivalNames[s.Rival] {
-			return &ScenarioError{Field: "Rival", Reason: fmt.Sprintf("unknown rival %q", s.Rival)}
-		}
-		if s.Mode != Off && s.Mode != "" {
-			return &ScenarioError{
-				Field:  "Rival",
-				Reason: fmt.Sprintf("rival %q requires Mode == Off, got %q", s.Rival, s.Mode),
-			}
-		}
-	}
-	if s.Faults != nil {
-		if err := s.Faults.toConfig().Validate(); err != nil {
-			return &ScenarioError{Field: "Faults", Reason: err.Error()}
-		}
-		if off := s.Faults.OfflinePCPUs + s.Faults.PermanentOfflinePCPUs; off > pcpus-1 {
-			return &ScenarioError{
-				Field:  "Faults.OfflinePCPUs",
-				Reason: fmt.Sprintf("%d offline pCPUs leave no core online (host has %d)", off, pcpus),
-			}
-		}
-	}
-	if r := s.Recovery; r != nil {
-		if r.IntervalMs < 0 {
-			return &ScenarioError{Field: "Recovery.IntervalMs", Reason: fmt.Sprintf("%v is negative", r.IntervalMs)}
-		}
-		if r.StarveBoundMs < 0 {
-			return &ScenarioError{Field: "Recovery.StarveBoundMs", Reason: fmt.Sprintf("%v is negative", r.StarveBoundMs)}
-		}
-	}
-	return nil
+	return scenarioError(setup.Validate())
 }
 
 // VMStats is one VM's outcome.
@@ -513,34 +414,52 @@ func (r *Results) VM(name string) *VMStats {
 // Workloads lists the available applications (the paper's suite).
 func Workloads() []string { return workload.Catalog() }
 
-// Simulate runs a scenario to completion and returns its measurements.
-// Runs are deterministic: the same scenario always produces the same
-// results.
-func Simulate(s Scenario) (*Results, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
+// setup lowers the scenario to the experiment Setup Simulate runs. It fails
+// only on what cannot be lowered — an unknown Mode or a duration that is not
+// a finite number of nanoseconds; Setup.Validate judges everything else.
+func (s Scenario) setup() (experiment.Setup, error) {
+	cc, err := core.ModeConfig(string(s.Mode), s.StaticCores)
+	if err != nil {
+		return experiment.Setup{}, &ScenarioError{Field: "Mode", Reason: fmt.Sprintf("unknown mode %q", s.Mode)}
 	}
-	setup := experiment.Setup{PCPUs: s.PCPUs, Audit: s.Audit, TraceExport: s.TraceJSON}
-	if s.Telemetry != nil {
-		setup.Obs = &obs.Config{FlightDir: s.Telemetry.FlightDir, Label: s.Telemetry.Label}
-	}
-	if s.Faults != nil {
-		fc := s.Faults.toConfig()
-		setup.Faults = &fc
-	}
-	if s.Recovery != nil {
-		setup.Recovery = &recovery.Config{
-			Interval:    simtime.Duration(s.Recovery.IntervalMs * float64(simtime.Millisecond)),
-			StarveBound: simtime.Duration(s.Recovery.StarveBoundMs * float64(simtime.Millisecond)),
-		}
-	}
-	if s.Seconds > 0 {
-		setup.Duration = simtime.Duration(s.Seconds * float64(simtime.Second))
+	var d durations
+	setup := experiment.Setup{
+		PCPUs:        s.PCPUs,
+		Core:         cc,
+		Duration:     d.of("Seconds", s.Seconds, simtime.Second),
+		StaggerStart: len(s.VMs) > 1,
+		Rival:        experiment.Rival(s.Rival),
+		Audit:        s.Audit,
+		TraceExport:  s.TraceJSON,
 	}
 	if s.Stagger != nil {
 		setup.StaggerStart = *s.Stagger
-	} else {
-		setup.StaggerStart = len(s.VMs) > 1
+	}
+	if s.Telemetry != nil {
+		setup.Obs = &obs.Config{FlightDir: s.Telemetry.FlightDir, Label: s.Telemetry.Label}
+	}
+	if f := s.Faults; f != nil {
+		setup.Faults = &fault.Config{
+			Seed:                  f.Seed,
+			OfflinePCPUs:          f.OfflinePCPUs,
+			PermanentOfflinePCPUs: f.PermanentOfflinePCPUs,
+			IPIDelayProb:          f.IPIDelayProb,
+			IPIDelayMax:           d.of("Faults.IPIDelayMaxUs", f.IPIDelayMaxUs, simtime.Microsecond),
+			IPIDropProb:           f.IPIDropProb,
+			LoseIPIs:              f.LoseIPIs,
+			TickJitter:            d.of("Faults.TickJitterUs", f.TickJitterUs, simtime.Microsecond),
+			LockStallProb:         f.LockStallProb,
+			LockStallFactor:       f.LockStallFactor,
+			Storms:                f.Storms,
+			StormLen:              d.of("Faults.StormLenMs", f.StormLenMs, simtime.Millisecond),
+			QuiesceAt:             d.of("Faults.QuiesceAtMs", f.QuiesceAtMs, simtime.Millisecond),
+		}
+	}
+	if r := s.Recovery; r != nil {
+		setup.Recovery = &recovery.Config{
+			Interval:    d.of("Recovery.IntervalMs", r.IntervalMs, simtime.Millisecond),
+			StarveBound: d.of("Recovery.StarveBoundMs", r.StarveBoundMs, simtime.Millisecond),
+		}
 	}
 	for i, vm := range s.VMs {
 		name := vm.Name
@@ -559,18 +478,27 @@ func Simulate(s Scenario) (*Results, error) {
 			spec.Serve = &experiment.ServeSpec{
 				RatePerSec: sv.RatePerSec,
 				ReqBytes:   sv.ReqBytes,
-				SLO:        simtime.Duration(sv.SLOMs * float64(simtime.Millisecond)),
+				SLO:        d.of(fmt.Sprintf("VMs[%d].Serve.SLOMs", i), sv.SLOMs, simtime.Millisecond),
 				RingCap:    sv.RingCap,
 				Seed:       sv.Seed,
 			}
 		}
 		setup.VMs = append(setup.VMs, spec)
 	}
-	setup.Core, _ = s.Mode.coreConfig(s.StaticCores) // Validate rejected unknown modes
-	setup.Rival = experiment.Rival(s.Rival)
-	res, err := experiment.Run(setup)
+	return setup, d.err
+}
+
+// Simulate runs a scenario to completion and returns its measurements.
+// Runs are deterministic: the same scenario always produces the same
+// results. An invalid scenario fails with a *ScenarioError (see Validate).
+func Simulate(s Scenario) (*Results, error) {
+	setup, err := s.setup()
 	if err != nil {
 		return nil, err
+	}
+	res, err := experiment.Run(setup)
+	if err != nil {
+		return nil, scenarioError(err)
 	}
 	out := &Results{
 		MicroCoresAvg:      res.MicroAvg,
@@ -589,7 +517,7 @@ func Simulate(s Scenario) (*Results, error) {
 		out.Repairs = append(out.Repairs, e.String())
 	}
 	if res.Telemetry != nil {
-		out.Telemetry = publicTelemetry(res.Telemetry)
+		out.Telemetry = publicTelemetry(res)
 	}
 	for _, vm := range res.VMs {
 		st := VMStats{
@@ -633,10 +561,11 @@ func Simulate(s Scenario) (*Results, error) {
 	return out, nil
 }
 
-// publicTelemetry converts the internal observability summary to the
-// exported shape (nanoseconds become microseconds, residency collapses to
-// headline figures).
-func publicTelemetry(sum *obs.Summary) *Telemetry {
+// publicTelemetry converts the run's observability summary and controller
+// audit trail to the exported shape (nanoseconds become microseconds,
+// residency collapses to headline figures).
+func publicTelemetry(res *experiment.Result) *Telemetry {
+	sum := res.Telemetry
 	t := &Telemetry{
 		Spans:       make(map[string]SpanStats, len(sum.Spans)),
 		FlightDumps: len(sum.Flights),
@@ -686,19 +615,19 @@ func publicTelemetry(sum *obs.Summary) *Telemetry {
 		t.Dispatches += p.Dispatches
 		t.Steals += p.Steals
 	}
-	for _, d := range sum.Decisions {
+	for _, d := range res.Decisions {
 		t.Decisions = append(t.Decisions, ControllerDecision{
 			TimeMs:     float64(d.Time) / 1e6,
 			Epoch:      d.Epoch,
-			Reason:     d.Reason,
+			Reason:     d.Reason.String(),
 			MicroCores: d.Chosen,
 			Ceiling:    d.Ceiling,
-			IPIs:       d.IPIs,
-			PLEs:       d.PLEs,
-			IRQs:       d.IRQs,
+			IPIs:       d.Run.IPIs,
+			PLEs:       d.Run.PLEs,
+			IRQs:       d.Run.IRQs,
 		})
 	}
-	t.DecisionCount = sum.DecisionCount
+	t.DecisionCount = res.DecisionCount
 	return t
 }
 
@@ -714,7 +643,7 @@ type IPerfResult struct {
 // and co-located with a lookbusy VM on one pCPU — measuring the
 // application-level stream. proto is "tcp" or "udp".
 func SimulateIPerf(proto string, mixed bool, mode Mode, staticCores int, seconds float64) (*IPerfResult, error) {
-	cc, err := mode.coreConfig(staticCores)
+	cc, err := core.ModeConfig(string(mode), staticCores)
 	if err != nil {
 		return nil, err
 	}

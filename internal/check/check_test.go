@@ -103,6 +103,34 @@ func TestInjectedBugCaughtAndShrunk(t *testing.T) {
 	}
 }
 
+// TestShrinkKeepsScenariosValid: the shrinker commits only candidates whose
+// Setup validates, so a fixture reproduces the failure, not a validation
+// error. With an oracle that holds while any unplug remains, Generate(56)
+// used to shrink to 4 unplugs on 2 pCPUs, which fault.New rejects.
+func TestShrinkKeepsScenariosValid(t *testing.T) {
+	unplugs := func(s Scenario) bool {
+		return s.Faults != nil && s.Faults.OfflinePCPUs+s.Faults.PermanentOffPCPUs > 0
+	}
+	for seed := uint64(1); seed <= 100; seed++ {
+		for _, sc := range []Scenario{Generate(seed), GenerateRecovery(seed)} {
+			if !unplugs(sc) {
+				continue
+			}
+			shrunk := Shrink(sc, unplugs, 200)
+			s, err := shrunk.ToSetup()
+			if err == nil {
+				err = s.Validate()
+			}
+			if err != nil || !unplugs(shrunk) {
+				t.Fatalf("seed %d: shrunk to %+v (unplugs %v): %v", seed, shrunk, unplugs(shrunk), err)
+			}
+		}
+	}
+	if !unplugs(Generate(56)) {
+		t.Fatal("Generate(56) no longer schedules an unplug; pick another seed")
+	}
+}
+
 // TestInjectedStageSkewCaughtAndShrunk proves the stage conservation law has
 // teeth: a PostCheck that deliberately mis-attributes one microsecond of
 // wake_dispatch time to a stage — without touching the span ledger — must be
@@ -257,20 +285,12 @@ func TestGenerateDeterministic(t *testing.T) {
 // harness's own validation (no pin out of range, valid apps, sound config).
 func TestGenerateProducesValidSetups(t *testing.T) {
 	for seed := uint64(100); seed < 140; seed++ {
-		sc := Generate(seed)
-		s := sc.ToSetup()
-		if len(s.VMs) == 0 {
-			t.Fatalf("seed %d: no VMs", seed)
+		s, err := Generate(seed).ToSetup()
+		if err == nil {
+			err = s.Validate()
 		}
-		if err := s.HVConfig.Validate(); err != nil {
+		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
-		}
-		for _, vm := range s.VMs {
-			for _, pin := range vm.Pins {
-				if pin >= s.PCPUs {
-					t.Fatalf("seed %d: pin %d on %d pCPUs", seed, pin, s.PCPUs)
-				}
-			}
 		}
 	}
 }

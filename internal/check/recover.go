@@ -147,13 +147,15 @@ func (c *Checker) CheckRecovery(sc Scenario) error {
 	if !recoveryShaped(sc) {
 		return fmt.Errorf("scenario is not recovery-shaped (need Recovery, Faults.QuiesceAtMs, DeadlineMs with quiesce+deadline <= duration)")
 	}
-	mk := func() experiment.Setup {
-		s := sc.ToSetup()
-		s.Audit = true
-		s.PostCheck = recoveryPostCheck(sc)
-		return s
+	s, err := sc.ToSetup()
+	if err != nil {
+		return err
 	}
-	results, err := experiment.RunAll([]experiment.Setup{mk(), mk()})
+	s.Audit = true
+	s.PostCheck = recoveryPostCheck(sc)
+	// Run reads the Setup's pointers but never writes through them, so the
+	// two runs may share one lowered Setup.
+	results, err := experiment.RunAll([]experiment.Setup{s, s})
 	if err != nil {
 		return fmt.Errorf("recovery run: %w", err)
 	}

@@ -60,12 +60,15 @@ func TestGenerateRecoveryShaped(t *testing.T) {
 		if !recoveryShaped(sc) {
 			t.Fatalf("seed %d: generated scenario is not recovery-shaped: %+v", seed, sc)
 		}
-		s := sc.ToSetup()
+		s, err := sc.ToSetup()
+		if err == nil {
+			err = s.Validate()
+		}
+		if err != nil {
+			t.Fatalf("seed %d: lowered setup invalid: %v", seed, err)
+		}
 		if s.Recovery == nil || s.Faults == nil {
 			t.Fatalf("seed %d: ToSetup dropped the recovery wiring", seed)
-		}
-		if err := s.Faults.Validate(); err != nil {
-			t.Fatalf("seed %d: fault plan invalid: %v", seed, err)
 		}
 		if off := s.Faults.OfflinePCPUs + s.Faults.PermanentOfflinePCPUs; off > s.PCPUs-3 {
 			t.Fatalf("seed %d: %d of %d pCPUs unplugged, want >= 3 survivors", seed, off, s.PCPUs)

@@ -93,10 +93,15 @@ type RecoverySpec struct {
 	DeadlineMs int `json:"deadline_ms"`
 }
 
-// ToSetup lowers the scenario to an experiment Setup. Each call builds a
-// fresh hv.Config, so callers may perturb the returned Setup (trace
+// ToSetup lowers the scenario to an experiment Setup; it fails only on an
+// unknown Mode (the Setup's own Validate judges the rest). Each call builds
+// a fresh hv.Config, so callers may perturb the returned Setup (trace
 // capacity, observer, relabelling) without aliasing.
-func (sc Scenario) ToSetup() experiment.Setup {
+func (sc Scenario) ToSetup() (experiment.Setup, error) {
+	cc, err := core.ModeConfig(sc.Mode, sc.StaticCores)
+	if err != nil {
+		return experiment.Setup{}, err
+	}
 	cfg := hv.DefaultConfig()
 	cfg.MicroRunqLimit = sc.MicroRunqLimit
 	cfg.MicroReturnHome = !sc.NoReturnHome
@@ -119,15 +124,6 @@ func (sc Scenario) ToSetup() experiment.Setup {
 				Seed:       vm.ServeSeed,
 			}
 		}
-	}
-
-	cc := core.DefaultConfig()
-	switch sc.Mode {
-	case "static":
-		cc = core.StaticConfig(sc.StaticCores)
-	case "dynamic":
-	default:
-		cc.Mode = core.ModeOff
 	}
 
 	s := experiment.Setup{
@@ -161,7 +157,7 @@ func (sc Scenario) ToSetup() experiment.Setup {
 			StarveBound: simtime.Duration(r.StarveBoundMs) * simtime.Millisecond,
 		}
 	}
-	return s
+	return s, nil
 }
 
 // clone deep-copies the scenario (the shrinker mutates candidates freely).

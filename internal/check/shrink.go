@@ -4,8 +4,10 @@ package check
 // candidate transformations in order (most aggressive first) and commits
 // the first one that still fails, restarting from the smaller scenario,
 // until no transformation reproduces the failure or budget evaluations of
-// fails have been spent. fails must be deterministic — with a simulator
-// that is bit-reproducible by construction, it is.
+// fails have been spent. Candidates whose Setup fails Validate are skipped
+// unevaluated: they would reproduce a validation error, not the failure.
+// fails must be deterministic — with a simulator that is bit-reproducible
+// by construction, it is.
 func Shrink(sc Scenario, fails func(Scenario) bool, budget int) Scenario {
 	cur := sc
 	for budget > 0 {
@@ -13,6 +15,9 @@ func Shrink(sc Scenario, fails func(Scenario) bool, budget int) Scenario {
 		for _, cand := range shrinkCandidates(cur) {
 			if budget <= 0 {
 				break
+			}
+			if s, err := cand.ToSetup(); err != nil || s.Validate() != nil {
+				continue
 			}
 			budget--
 			if fails(cand) {
@@ -50,13 +55,7 @@ func shrinkCandidates(sc Scenario) []Scenario {
 	if sc.Faults != nil {
 		add(func(c *Scenario) { c.Faults = nil; c.Recovery = nil })
 		if sc.Faults.Storms > 0 {
-			add(func(c *Scenario) {
-				c.Faults.Storms = 0
-				if c.Faults.IPIDropProb == 0 {
-					// LoseIPIs without a drop source fails validation.
-					c.Faults.LoseIPIs = false
-				}
-			})
+			add(func(c *Scenario) { c.Faults.Storms = 0 })
 		}
 		if sc.Faults.PermanentOffPCPUs > 0 {
 			add(func(c *Scenario) { c.Faults.PermanentOffPCPUs-- })
@@ -86,16 +85,7 @@ func shrinkCandidates(sc Scenario) []Scenario {
 		}
 	}
 	if sc.PCPUs > 2 {
-		add(func(c *Scenario) {
-			c.PCPUs--
-			for i := range c.VMs {
-				for j, pin := range c.VMs[i].Pins {
-					if pin >= c.PCPUs {
-						c.VMs[i].Pins[j] = -1
-					}
-				}
-			}
-		})
+		add(func(c *Scenario) { c.PCPUs-- })
 	}
 	if sc.Mode != "off" {
 		add(func(c *Scenario) { c.Mode = "off"; c.StaticCores = 0 })

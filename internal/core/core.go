@@ -117,20 +117,22 @@ func StaticConfig(n int) Config {
 	return c
 }
 
-// ModeConfig maps a mode name — "off", "static" or "dynamic" — to its
-// configuration; staticCores sizes the micro pool in "static" mode.
+// ModeConfig maps a mode name — "off" (or empty), "static" or "dynamic" —
+// to its configuration. Only "static" reads staticCores, but every mode
+// carries it, so validation sees it whatever the mode.
 func ModeConfig(mode string, staticCores int) (Config, error) {
+	c := DefaultConfig()
+	c.StaticCores = staticCores
 	switch mode {
-	case "off":
-		c := DefaultConfig()
+	case "", "off":
 		c.Mode = ModeOff
-		return c, nil
 	case "static":
-		return StaticConfig(staticCores), nil
+		c.Mode = ModeStatic
 	case "dynamic":
-		return DefaultConfig(), nil
+	default:
+		return Config{}, fmt.Errorf("core: unknown mode %q", mode)
 	}
-	return Config{}, fmt.Errorf("core: unknown mode %q", mode)
+	return c, nil
 }
 
 // eventStats is one profiling sample of urgent-event counts.

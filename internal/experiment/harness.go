@@ -90,7 +90,7 @@ type Setup struct {
 	// (ablation studies: slice lengths, runqueue limits, migrate-back).
 	HVConfig *hv.Config
 	// Rival, when set, installs a prior-work system (internal/rivals) in
-	// place of the paper's mechanism; Core should be ModeOff.
+	// place of the paper's mechanism; Core must be ModeOff.
 	Rival Rival
 	// Faults, when non-nil and enabled, injects the configured
 	// deterministic faults (internal/fault) into the run.
@@ -133,6 +133,143 @@ type PostRun struct {
 	Obs    *obs.Observer
 	Ctrl   *core.Controller
 	Now    simtime.Time
+}
+
+// SetupError reports an invalid Setup field. Field is the path from the
+// Setup root, e.g. "VMs[1].Serve.RatePerSec"; Err is the typed error of the
+// hv, fault or workload validator the rule was delegated to, if any.
+type SetupError struct {
+	Field, Reason string
+	Err           error
+}
+
+func (e *SetupError) Error() string {
+	return fmt.Sprintf("experiment: invalid %s: %s", e.Field, e.Reason)
+}
+
+func (e *SetupError) Unwrap() error { return e.Err }
+
+// invalid builds a *SetupError; field paths and reasons are formatted only
+// on this failure path, so validating a good Setup allocates nothing.
+func invalid(field, format string, args ...any) *SetupError {
+	return &SetupError{Field: field, Reason: fmt.Sprintf(format, args...)}
+}
+
+// setDefaults fills the zero-valued fields Run defaults.
+func (s *Setup) setDefaults() {
+	if s.PCPUs == 0 {
+		s.PCPUs = DefaultPCPUs
+	}
+	if s.Duration == 0 {
+		s.Duration = DefaultDuration
+	}
+}
+
+// hvConfig is the hypervisor configuration the Setup runs on.
+func (s *Setup) hvConfig() hv.Config {
+	cfg := hv.DefaultConfig()
+	if s.HVConfig != nil {
+		cfg = *s.HVConfig
+	}
+	cfg.PCPUs = s.PCPUs
+	return cfg
+}
+
+// Validate reports the first problem with the scenario as a *SetupError, or
+// nil, judging zero-valued fields as Run defaults them. It is the one rule
+// set for scenario validity: Run applies it before building anything, the
+// public API renames its field paths, and the shrinker filters with it.
+func (s Setup) Validate() error {
+	s.setDefaults()
+	if len(s.VMs) == 0 {
+		return invalid("VMs", "scenario has no VMs")
+	}
+	if err := s.hvConfig().Validate(); err != nil {
+		field := "HVConfig"
+		if ce, ok := err.(*hv.ConfigError); ok {
+			field += "." + ce.Field
+		}
+		if field == "HVConfig.PCPUs" {
+			field = "PCPUs" // Setup.PCPUs overrides HVConfig.PCPUs
+		}
+		return &SetupError{Field: field, Reason: err.Error(), Err: err}
+	}
+	if s.Duration < 0 {
+		return invalid("Duration", "%v is negative", s.Duration)
+	}
+	for i := range s.VMs {
+		if err := s.VMs[i].validate(s.PCPUs); err != nil {
+			err.Field = fmt.Sprintf("VMs[%d].%s", i, err.Field)
+			err.Reason = fmt.Sprintf("VM %q: %s", s.VMs[i].Name, err.Reason)
+			return err
+		}
+	}
+	if n := s.Core.StaticCores; n < 0 || n > s.PCPUs {
+		return invalid("Core.StaticCores", "%d outside [0, %d] (the host's pCPUs)", n, s.PCPUs)
+	}
+	switch s.Rival {
+	case RivalNone:
+	case RivalFixed, RivalVTurbo, RivalVTRS, RivalCoSched:
+		if s.Core.Mode != core.ModeOff {
+			return invalid("Rival", "rival %q needs mode off, got %v", s.Rival, s.Core.Mode)
+		}
+	default:
+		return invalid("Rival", "unknown rival %q (have %s, %s, %s, %s)",
+			s.Rival, RivalCoSched, RivalFixed, RivalVTurbo, RivalVTRS)
+	}
+	if f := s.Faults; f != nil {
+		if err := f.Validate(); err != nil {
+			return &SetupError{Field: "Faults", Reason: err.Error(), Err: err}
+		}
+		if err := f.ValidateRun(s.PCPUs, s.Duration); err != nil {
+			return &SetupError{Field: "Faults." + err.Field, Reason: err.Error(), Err: err}
+		}
+	}
+	if r := s.Recovery; r != nil && r.Interval < 0 {
+		return invalid("Recovery.Interval", "%v is negative", r.Interval)
+	}
+	if r := s.Recovery; r != nil && r.StarveBound < 0 {
+		return invalid("Recovery.StarveBound", "%v is negative", r.StarveBound)
+	}
+	return nil
+}
+
+// validate checks one VM on a host of pcpus cores; the returned error's
+// Field is relative to the VM.
+func (vm *VMSpec) validate(pcpus int) *SetupError {
+	switch {
+	case vm.VCPUs < 0:
+		return invalid("VCPUs", "%d is negative (0 selects the default)", vm.VCPUs)
+	case vm.Weight < 0:
+		return invalid("Weight", "%d is negative (0 selects the default)", vm.Weight)
+	case !workload.Known(vm.App) && (vm.App != "" || vm.Serve == nil && vm.IPerf == ""):
+		return invalid("App", "unknown application %q (have %v; empty needs Serve or IPerf)", vm.App, workload.Catalog())
+	case vm.Serve != nil && vm.IPerf != "":
+		return invalid("IPerf", "Serve and IPerf cannot share the VM's NIC")
+	case vm.IPerf != "" && vm.IPerf != "udp" && vm.IPerf != "tcp":
+		return invalid("IPerf", "unknown protocol %q (have udp, tcp)", vm.IPerf)
+	}
+	for j, pin := range vm.Pins {
+		if pin >= pcpus {
+			return invalid(fmt.Sprintf("Pins[%d]", j), "pCPU %d does not exist (host has %d)", pin, pcpus)
+		}
+	}
+	switch sv := vm.Serve; {
+	case sv == nil:
+	case sv.RatePerSec <= 0:
+		return invalid("Serve.RatePerSec", "%d must be positive", sv.RatePerSec)
+	case sv.SLO < 0:
+		return invalid("Serve.SLO", "%v is negative", sv.SLO)
+	case sv.ReqBytes < 0:
+		return invalid("Serve.ReqBytes", "%d is negative", sv.ReqBytes)
+	case sv.RingCap < 0:
+		return invalid("Serve.RingCap", "%d is negative", sv.RingCap)
+	case sv.Profile != nil:
+		if err := sv.Profile.Validate(); err != nil {
+			return &SetupError{Field: "Serve.Profile", Reason: err.Error(), Err: err}
+		}
+	}
+	return nil
 }
 
 // watchdogLimit is the livelock threshold: this many consecutive events at
@@ -249,9 +386,10 @@ func (r *Result) VM(name string) *VMResult {
 	return nil
 }
 
-// Run executes a scenario to completion and collects the measurements.
-// Panics anywhere inside the simulation are recovered and returned as
-// errors, so one corrupt scenario cannot take down a whole grid.
+// Run executes a scenario to completion and collects the measurements. An
+// invalid Setup fails Validate before anything is built. Panics anywhere
+// inside the simulation are recovered and returned as errors, so one
+// corrupt scenario cannot take down a whole grid.
 func Run(s Setup) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -261,47 +399,15 @@ func Run(s Setup) (res *Result, err error) {
 	if fn := setupHook.Load(); fn != nil {
 		(*fn)(&s)
 	}
-	if s.PCPUs == 0 {
-		s.PCPUs = DefaultPCPUs
-	}
-	if s.PCPUs < 0 {
-		return nil, fmt.Errorf("experiment: PCPUs %d negative", s.PCPUs)
-	}
-	if s.Duration == 0 {
-		s.Duration = DefaultDuration
-	}
-	if s.Duration < 0 {
-		return nil, fmt.Errorf("experiment: Duration %v negative", s.Duration)
-	}
-	for _, vm := range s.VMs {
-		if vm.VCPUs < 0 {
-			return nil, fmt.Errorf("experiment: VM %s: VCPUs %d negative", vm.Name, vm.VCPUs)
-		}
-		if vm.Weight < 0 {
-			return nil, fmt.Errorf("experiment: VM %s: Weight %d negative", vm.Name, vm.Weight)
-		}
-		if vm.Serve != nil && vm.IPerf != "" {
-			return nil, fmt.Errorf("experiment: VM %s: Serve and IPerf cannot share the VM's NIC", vm.Name)
-		}
-		for j, pin := range vm.Pins {
-			if pin >= s.PCPUs {
-				return nil, fmt.Errorf("experiment: VM %s: vCPU %d pinned to pCPU %d of %d", vm.Name, j, pin, s.PCPUs)
-			}
-		}
+	s.setDefaults()
+	if err := s.Validate(); err != nil {
+		return nil, err
 	}
 	clock := simtime.NewClock()
-	cfg := hv.DefaultConfig()
-	if s.HVConfig != nil {
-		cfg = *s.HVConfig
-	}
-	cfg.PCPUs = s.PCPUs
-	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("experiment: %w", err)
-	}
+	cfg := s.hvConfig()
 
 	var plan *fault.Plan
-	faultsOn := s.Faults != nil && s.Faults.Enabled()
-	if faultsOn {
+	if s.Faults != nil && s.Faults.Enabled() {
 		plan, err = fault.New(*s.Faults, s.PCPUs, s.Duration)
 		if err != nil {
 			return nil, err
@@ -375,7 +481,7 @@ func Run(s Setup) (res *Result, err error) {
 			}
 			rigs[i] = rig
 		}
-		if vm.App == "" && (vm.Serve != nil || vm.IPerf != "") {
+		if vm.App == "" { // Validate allows it only beside Serve or IPerf
 			apps[i] = workload.Empty(vm.Name, kernels[i])
 		} else {
 			app, aerr := workload.New(vm.App, kernels[i], vm.Seed)
@@ -434,13 +540,7 @@ func Run(s Setup) (res *Result, err error) {
 		// shows what the sizing loop was doing when the trigger fired.
 		observer.SetDecisionTail(func() []obs.DecisionRecord { return decisionRecords(ctrl) })
 	}
-	var rivalStart func()
-	if s.Rival != RivalNone {
-		rivalStart, err = attachRival(h, s.Rival)
-		if err != nil {
-			return nil, err
-		}
-	}
+	rivalStart := attachRival(h, s.Rival)
 	h.Start()
 	ctrl.Start()
 	if rivalStart != nil {
@@ -491,10 +591,6 @@ func Run(s Setup) (res *Result, err error) {
 	}
 	if observer != nil {
 		res.Telemetry = observer.Summary(clock.Now())
-		res.Telemetry.MTTR = res.MTTR
-		res.Telemetry.Repairs = int(res.RepairCount)
-		res.Telemetry.Decisions = decisionRecords(ctrl)
-		res.Telemetry.DecisionCount = res.DecisionCount
 	}
 	if s.TraceExport != nil {
 		names := make(map[int16]string, len(kernels))

@@ -54,10 +54,8 @@ func IOSetup(proto string, mixed bool, cc core.Config, dur simtime.Duration) Set
 
 // buildIPerf composes a VM's iPerf stream: NIC, socket 0 read by an
 // iperf-server thread on vCPU 0, and the paced sender, not yet started.
+// proto is "udp" or "tcp" (Validate rejects anything else).
 func buildIPerf(clock *simtime.Clock, h *hv.Hypervisor, k *guest.Kernel, proto string) (netRig, error) {
-	if proto != "udp" && proto != "tcp" {
-		return netRig{}, fmt.Errorf("unknown iPerf protocol %q", proto)
-	}
 	nic := vnet.NewNIC(h, k.Dom, ioRingCap)
 	k.AttachNIC(nic)
 	sock := k.NewSocket(0)

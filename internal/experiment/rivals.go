@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"fmt"
 	"io"
 
 	"github.com/microslicedcore/microsliced/internal/core"
@@ -24,24 +23,20 @@ const (
 )
 
 // attachRival installs a rival system on a freshly built hypervisor and
-// returns its start function.
-func attachRival(h *hv.Hypervisor, r Rival) (func(), error) {
+// returns its start function (nil for RivalNone; Validate rejects unknown
+// rivals).
+func attachRival(h *hv.Hypervisor, r Rival) func() {
 	switch r {
 	case RivalFixed:
-		s := rivals.NewFixedMicroSliced(h, 100*simtime.Microsecond)
-		return s.Start, nil
+		return rivals.NewFixedMicroSliced(h, 100*simtime.Microsecond).Start
 	case RivalVTurbo:
-		s := rivals.NewVTurbo(h, 1)
-		return s.Start, nil
+		return rivals.NewVTurbo(h, 1).Start
 	case RivalVTRS:
-		s := rivals.NewVTRS(h)
-		return s.Start, nil
+		return rivals.NewVTRS(h).Start
 	case RivalCoSched:
-		s := rivals.NewCoSched(h, 0)
-		return s.Start, nil
-	default:
-		return nil, fmt.Errorf("experiment: unknown rival %q", r)
+		return rivals.NewCoSched(h, 0).Start
 	}
+	return nil
 }
 
 // Table1Row is one system's outcome across the three symptom scenarios.

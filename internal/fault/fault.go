@@ -136,7 +136,7 @@ func (c Config) Validate() error {
 		{"IPIDropProb", c.IPIDropProb},
 		{"LockStallProb", c.LockStallProb},
 	} {
-		if p.v < 0 || p.v > 1 {
+		if !(p.v >= 0 && p.v <= 1) { // NaN fails both comparisons
 			return &ConfigError{p.name, fmt.Sprintf("%v outside [0, 1]", p.v)}
 		}
 	}
@@ -155,7 +155,7 @@ func (c Config) Validate() error {
 	if c.TickJitter < 0 {
 		return &ConfigError{"TickJitter", fmt.Sprintf("%v negative", c.TickJitter)}
 	}
-	if c.LockStallProb > 0 && c.LockStallFactor < 1 {
+	if c.LockStallProb > 0 && !(c.LockStallFactor >= 1) {
 		return &ConfigError{"LockStallFactor", fmt.Sprintf("%v must be >= 1", c.LockStallFactor)}
 	}
 	if c.Storms < 0 {
@@ -243,30 +243,39 @@ func (p *Plan) inStorm(now simtime.Time) bool {
 	return false
 }
 
-// New validates cfg and pre-draws the hotplug and storm schedules for a run
-// of the given duration on pcpus cores. The same (cfg, pcpus, duration)
-// triple always yields the same plan. Schedule-shape problems that only
-// appear once the run length is known — a replug that cannot land inside
-// the run, a quiesce point at or past run end — are rejected here with a
-// typed *ConfigError.
+// ValidateRun applies the rules Validate cannot judge from the fields
+// alone: on a host of pcpus cores the unplugs must leave pCPU 0 online, and
+// a quiesce point must fall inside a run of the given duration.
+func (c Config) ValidateRun(pcpus int, duration simtime.Duration) *ConfigError {
+	if c.OfflinePCPUs+c.PermanentOfflinePCPUs > pcpus-1 {
+		return &ConfigError{"OfflinePCPUs", fmt.Sprintf(
+			"%d temporary + %d permanent unplugs leave no core online (have %d)",
+			c.OfflinePCPUs, c.PermanentOfflinePCPUs, pcpus)}
+	}
+	if duration <= 0 && c.Enabled() {
+		return &ConfigError{"Duration", fmt.Sprintf(
+			"run duration %v leaves no room for scheduled faults", duration)}
+	}
+	if c.QuiesceAt >= duration && c.QuiesceAt > 0 {
+		return &ConfigError{"QuiesceAt", fmt.Sprintf(
+			"%v at or past run end %v", c.QuiesceAt, duration)}
+	}
+	return nil
+}
+
+// New validates cfg (Validate, then ValidateRun) and pre-draws the hotplug
+// and storm schedules for a run of the given duration on pcpus cores. The
+// same (cfg, pcpus, duration) triple always yields the same plan. A replug
+// that cannot land inside the run is rejected here with a typed
+// *ConfigError.
 func New(cfg Config, pcpus int, duration simtime.Duration) (*Plan, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	if err := cfg.ValidateRun(pcpus, duration); err != nil {
+		return nil, err
+	}
 	totalOff := cfg.OfflinePCPUs + cfg.PermanentOfflinePCPUs
-	if totalOff > pcpus-1 {
-		return nil, &ConfigError{"OfflinePCPUs", fmt.Sprintf(
-			"%d temporary + %d permanent unplugs leave no core online (have %d)",
-			cfg.OfflinePCPUs, cfg.PermanentOfflinePCPUs, pcpus)}
-	}
-	if duration <= 0 && cfg.Enabled() {
-		return nil, &ConfigError{"Duration", fmt.Sprintf(
-			"run duration %v leaves no room for scheduled faults", duration)}
-	}
-	if cfg.QuiesceAt >= duration && cfg.QuiesceAt > 0 {
-		return nil, &ConfigError{"QuiesceAt", fmt.Sprintf(
-			"%v at or past run end %v", cfg.QuiesceAt, duration)}
-	}
 	root := rng.New(cfg.Seed ^ 0xfa17_5eed_0000_0001)
 	p := &Plan{
 		Cfg:  cfg,

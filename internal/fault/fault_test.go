@@ -2,6 +2,7 @@ package fault
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -24,6 +25,8 @@ func TestConfigValidate(t *testing.T) {
 		{"delay-without-max", Config{IPIDelayProb: 0.5}, false},
 		{"negative-jitter", Config{TickJitter: -1}, false},
 		{"stall-factor<1", Config{LockStallProb: 0.5, LockStallFactor: 0.5}, false},
+		{"nan-prob", Config{IPIDropProb: math.NaN()}, false},
+		{"nan-stall-factor", Config{LockStallProb: 0.5, LockStallFactor: math.NaN()}, false},
 	}
 	for _, c := range cases {
 		err := c.cfg.Validate()

@@ -407,20 +407,6 @@ type Summary struct {
 	PCPUs     []PCPUResidency  `json:"pcpus"`
 	OpenSpans int              `json:"open_spans"` // spans never closed by run end
 	Flights   []FlightDump     `json:"flights,omitempty"`
-
-	// MTTR is the quiesce→last-repair convergence time of a recovery run
-	// (0 when the run had no quiesce point or needed no post-quiesce
-	// repairs); Repairs counts supervisor detections+repairs. Both are
-	// stamped by the experiment harness after the run.
-	MTTR    simtime.Duration `json:"mttr_ns,omitempty"`
-	Repairs int              `json:"repairs,omitempty"`
-
-	// Decisions is the adaptive controller's retained decision audit trail
-	// (oldest first; bounded ring) and DecisionCount its exact total
-	// including aged-out entries. Both are stamped by the experiment
-	// harness after the run; empty when the controller was off.
-	Decisions     []DecisionRecord `json:"decisions,omitempty"`
-	DecisionCount uint64           `json:"decision_count,omitempty"`
 }
 
 // BusiestPCPU returns the pCPU with the most accumulated execution time

@@ -146,13 +146,14 @@ func TestMixedDiskVCPUSuffersAndIsRescued(t *testing.T) {
 		k := guest.NewKernel(h, "vm1", 1, ksym.Generate(1), guest.DefaultParams())
 		d := New(clock, 7)
 		k.AttachDisk(d)
-		app := workload.Empty("filer", k)
 		ios := uint64(0)
 		k.NewThread(0, "filer", guest.ProgramFunc(func(now simtime.Time) guest.Op {
 			ios++
 			return guest.Op{Kind: guest.OpDisk, Bytes: 16 << 10}
 		}))
-		workload.LookbusyThread(app, 0)
+		k.NewThread(0, "lookbusy", guest.ProgramFunc(func(simtime.Time) guest.Op {
+			return guest.Op{Kind: guest.OpCompute, Dur: simtime.Millisecond}
+		}))
 		hog := guest.NewKernel(h, "vm2", 1, ksym.Generate(2), guest.DefaultParams())
 		if _, err := workload.New("lookbusy", hog, 9); err != nil {
 			t.Fatal(err)

@@ -45,11 +45,12 @@ func DefaultServeProfile() ServeProfile {
 	}
 }
 
-func (p ServeProfile) validate() error {
+// Validate rejects a profile RequestServer cannot deploy.
+func (p ServeProfile) Validate() error {
 	if p.ServiceMean <= 0 {
 		return fmt.Errorf("workload: serve profile: service mean %v must be positive", p.ServiceMean)
 	}
-	if p.LockProb < 0 || p.LockProb > 1 || p.SyscallProb < 0 || p.SyscallProb > 1 {
+	if !(p.LockProb >= 0 && p.LockProb <= 1 && p.SyscallProb >= 0 && p.SyscallProb <= 1) { // rejects NaN
 		return fmt.Errorf("workload: serve profile: probabilities must be in [0,1]")
 	}
 	if p.ReplyBytes <= 0 {
@@ -83,7 +84,7 @@ func (sp *ServerPool) InService() int {
 // replies with an OpSend whose completion reports to sink at the exact
 // transmit instant. Each completed request counts one work unit.
 func RequestServer(a *App, sink RequestSink, prof ServeProfile, seed uint64) (*ServerPool, error) {
-	if err := prof.validate(); err != nil {
+	if err := prof.Validate(); err != nil {
 		return nil, err
 	}
 	k := a.Kernel

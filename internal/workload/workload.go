@@ -488,11 +488,3 @@ func IperfServer(a *App, vcpu int, sock *guest.Socket) *guest.Thread {
 func Empty(name string, k *guest.Kernel) *App {
 	return &App{Name: name, Kernel: k}
 }
-
-// LookbusyThread adds a single CPU-burning thread on one vCPU (the mixed
-// vCPU of the paper's Figure 9 setup).
-func LookbusyThread(a *App, vcpu int) *guest.Thread {
-	return a.Kernel.NewThread(vcpu, "lookbusy", guest.ProgramFunc(func(now simtime.Time) guest.Op {
-		return guest.Op{Kind: guest.OpCompute, Dur: 1000 * us}
-	}))
-}

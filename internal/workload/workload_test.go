@@ -170,7 +170,9 @@ func TestIperfServerCountsUnits(t *testing.T) {
 	app := Empty("iperf", k)
 	sock := k.NewSocket(0)
 	IperfServer(app, 0, sock)
-	LookbusyThread(app, 0)
+	k.NewThread(0, "lookbusy", guest.ProgramFunc(func(simtime.Time) guest.Op {
+		return guest.Op{Kind: guest.OpCompute, Dur: simtime.Millisecond}
+	}))
 	h.Start()
 	k.StartAll()
 	clock.RunUntil(simtime.Millisecond)

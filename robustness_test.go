@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"github.com/microslicedcore/microsliced/internal/experiment"
 	"github.com/microslicedcore/microsliced/internal/rng"
 )
 
@@ -87,6 +88,20 @@ func TestValidateTypedErrors(t *testing.T) {
 			Faults: &FaultPlan{IPIDropProb: 2}}, "Faults"},
 		{"fault-unplugs-host", Scenario{PCPUs: 2, VMs: []VM{{App: "exim"}},
 			Faults: &FaultPlan{OfflinePCPUs: 2}}, "Faults.OfflinePCPUs"},
+		// Shapes the engine used to reject mid-build with an untyped error,
+		// or (NaN) run silently with the default duration.
+		{"infinite-seconds", Scenario{Seconds: math.Inf(1), VMs: []VM{{App: "exim"}}}, "Seconds"},
+		{"overflowing-seconds", Scenario{Seconds: 1e12, VMs: []VM{{App: "exim"}}}, "Seconds"},
+		{"nan-seconds", Scenario{Seconds: math.NaN(), VMs: []VM{{App: "exim"}}}, "Seconds"},
+		{"nan-slo", Scenario{VMs: []VM{{App: "exim",
+			Serve: &ServeConfig{RatePerSec: 1000, SLOMs: math.NaN()}}}}, "VMs[0].Serve.SLOMs"},
+		{"pcpus-over-max", Scenario{PCPUs: 65, VMs: []VM{{App: "exim"}}}, "PCPUs"},
+		{"quiesce-past-end", Scenario{Seconds: 0.01, VMs: []VM{{App: "exim"}},
+			Faults: &FaultPlan{QuiesceAtMs: 50}}, "Faults.QuiesceAtMs"},
+		{"nan-fault-prob", Scenario{VMs: []VM{{App: "exim"}},
+			Faults: &FaultPlan{IPIDropProb: math.NaN()}}, "Faults"},
+		{"nan-stall-factor", Scenario{VMs: []VM{{App: "exim"}},
+			Faults: &FaultPlan{LockStallProb: 0.5, LockStallFactor: math.NaN()}}, "Faults"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -104,6 +119,14 @@ func TestValidateTypedErrors(t *testing.T) {
 			// Simulate must refuse the same scenario up front.
 			if _, serr := Simulate(c.s); serr == nil {
 				t.Fatal("Simulate ran an invalid scenario")
+			}
+			// A scenario that lowers must fail Run's own validation, which
+			// runs before any world is built.
+			if setup, lerr := c.s.setup(); lerr == nil {
+				var sete *experiment.SetupError
+				if _, rerr := experiment.Run(setup); !errors.As(rerr, &sete) {
+					t.Fatalf("experiment.Run on the lowered Setup: %v, want a *SetupError", rerr)
+				}
 			}
 		})
 	}
